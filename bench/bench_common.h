@@ -27,13 +27,12 @@ double EnvScale();
 int EnvInt(const char* name, int fallback, int min_value);
 
 /// The execution-model knobs, parsed once from TERIDS_BENCH_BATCH /
-/// TERIDS_BENCH_THREADS / TERIDS_BENCH_SHARDS / TERIDS_BENCH_QUEUE
-/// (defaults 1/1/1/0 = the classic one-at-a-time synchronous operator)
-/// plus TERIDS_BENCH_SIGFILTER (0|1, default 1 = signature-bounded Jaccard
-/// kernel on), TERIDS_BENCH_MAINTAIN (maintain_shards, default 1 = serial
-/// grid maintenance), TERIDS_BENCH_SCHED (sched_threads, default 0 =
-/// legacy per-subsystem pools; >= 1 = the unified scheduler's worker
-/// count), the token-signature width from TERIDS_BENCH_SIGWIDTH (64 | 128
+/// TERIDS_BENCH_THREADS / TERIDS_BENCH_QUEUE / TERIDS_BENCH_SCHED
+/// (defaults 1/1/0/0 = the classic one-at-a-time synchronous operator;
+/// SCHED is the Scheduler's worker count, and a QUEUE > 0 without SCHED
+/// >= 1 is rejected with a stderr message and falls back to 0) plus
+/// TERIDS_BENCH_SIGFILTER (0|1, default 1 = signature-bounded Jaccard
+/// kernel on), the token-signature width from TERIDS_BENCH_SIGWIDTH (64 | 128
 /// | 256, default 64; DESIGN.md §11), the repository storage backend from
 /// TERIDS_BENCH_REPO_BACKEND ("memory" | "mmap", default memory), and the
 /// v2 snapshot decode mode from TERIDS_BENCH_SNAPDECODE ("lazy" | "eager",
@@ -42,17 +41,14 @@ int EnvInt(const char* name, int fallback, int min_value);
 /// "degrade", default block; DESIGN.md §13).
 /// Every bench that replays arrivals through Experiment::Run inherits them
 /// via BaseParams, so any figure can be reproduced under micro-batching,
-/// parallel refinement, grid sharding, async ingest, the signature filter
-/// at any width, parallel maintain, the unified scheduler, and either
-/// storage backend without code changes.
+/// parallel refinement, async ingest, the signature filter at any width,
+/// and either storage backend without code changes.
 struct ExecKnobs {
   int batch_size = 1;
   int refine_threads = 1;
-  int grid_shards = 1;
   int ingest_queue_depth = 0;
   bool signature_filter = true;
   int sig_width = 64;
-  int maintain_shards = 1;
   int sched_threads = 0;
   RepoBackend repo_backend = RepoBackend::kInMemory;
   SnapshotDecode snapshot_decode = SnapshotDecode::kLazy;
@@ -77,6 +73,13 @@ const std::vector<PipelineKind>& AccuracyPipelines();
 /// Prints the figure banner and the effective parameter values.
 void PrintHeader(const std::string& figure, const std::string& title,
                  const ExperimentParams& params);
+
+/// Prints one claim about the table just printed, judged from its numbers:
+///   verdict: <claim> -- holds (<evidence>)
+/// or the same line with DIVERGES, so a footer can never contradict the
+/// measurements above it.
+void PrintVerdict(const std::string& claim, bool holds,
+                  const std::string& evidence);
 
 /// Machine-readable bench output. When the TERIDS_BENCH_JSON environment
 /// variable names a file, every row added here is written on destruction as
@@ -104,9 +107,10 @@ class JsonReporter {
 
   bool enabled() const { return !path_.empty(); }
   Row& AddRow();
-  /// AddRow with the effective execution-model knob columns pre-stamped
-  /// (batch_size / refine_threads / grid_shards / ingest_queue_depth), so
-  /// artifact rows from different knob settings stay distinguishable.
+  /// AddRow with every effective execution-model knob column pre-stamped
+  /// (batch_size / refine_threads / ingest_queue_depth / sched_threads /
+  /// ...), so artifact rows from different knob settings stay
+  /// distinguishable.
   Row& AddKnobRow(const ExecKnobs& knobs);
 
  private:

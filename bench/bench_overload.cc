@@ -68,18 +68,20 @@ struct RunResult {
 int main() {
   JsonReporter reporter("overload");
   ExecKnobs knobs = EnvExecKnobs();
-  // The overload layer only exists on the async ingest path, and pressure
-  // needs real batches: force the async knobs up to a floor (env values
-  // above the floor are kept).
+  // The overload layer only exists on the async ingest path (the
+  // Scheduler's kIngest chain), and pressure needs real batches: force the
+  // async knobs up to a floor (env values above the floor are kept).
   knobs.batch_size = std::max(knobs.batch_size, 8);
   knobs.refine_threads = std::max(knobs.refine_threads, 2);
   knobs.ingest_queue_depth = std::max(knobs.ingest_queue_depth, 2);
+  knobs.sched_threads = std::max(knobs.sched_threads, 1);
 
   const std::string dataset = "Citations";
   ExperimentParams params = BaseParams(dataset);
   params.batch_size = knobs.batch_size;
   params.refine_threads = knobs.refine_threads;
   params.ingest_queue_depth = knobs.ingest_queue_depth;
+  params.sched_threads = knobs.sched_threads;
   Experiment experiment(ProfileByName(dataset), params);
   PrintHeader("overload",
               "SLO-timely goodput / shed rate / recovery per overload "

@@ -25,8 +25,9 @@ find src tests bench examples \
 # ---------------------------------------------------------------------------
 # Docs consistency: README.md's execution-knob table is the canonical list
 # of runtime knobs. Fail if an EngineConfig field or a TERIDS_BENCH_* env
-# var exists in the code but is missing from the README, so the table can't
-# silently rot when a knob is added.
+# var exists in the code but is missing from the README, or if a table row
+# names a field or env var the code no longer has — so the table can't
+# silently rot when a knob is added or deleted.
 # ---------------------------------------------------------------------------
 docs_ok=1
 
@@ -49,6 +50,25 @@ bench_vars=$(grep -rhoE 'TERIDS_BENCH_[A-Z_]+' bench | grep -v '_H_$' | sort -u)
 for var in $bench_vars; do
   if ! grep -q "$var" README.md; then
     echo "error: bench env var '$var' is missing from README.md" >&2
+    docs_ok=0
+  fi
+done
+
+# Reverse direction: the knob table's rows ("| `knob` | default | env |
+# effect |") may only name live EngineConfig fields and TERIDS_BENCH_* vars.
+knob_rows=$(grep -E '^\| `[a-z_]+` \|' README.md || true)
+
+for knob in $(awk -F'|' '{print $2}' <<<"$knob_rows" | tr -d ' `'); do
+  if ! grep -qx "$knob" <<<"$config_knobs"; then
+    echo "error: README.md knob row '$knob' is not an EngineConfig field" >&2
+    docs_ok=0
+  fi
+done
+
+for var in $(awk -F'|' '{print $4}' <<<"$knob_rows" |
+  grep -oE 'TERIDS_BENCH_[A-Z_]+' || true); do
+  if ! grep -qx "$var" <<<"$bench_vars"; then
+    echo "error: README.md knob row names '$var', which no bench reads" >&2
     docs_ok=0
   fi
 done

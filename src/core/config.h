@@ -43,21 +43,18 @@ struct EngineConfig {
   /// Micro-batch size callers should feed ProcessBatch (StreamDriver::
   /// NextBatch). 1 = the classic one-arrival-at-a-time operator.
   int batch_size = 1;
-  /// Worker count for the post-pruning refinement cascade. 1 = inline
-  /// sequential refinement. The defaults (1/1) keep pipeline output and
-  /// execution bit-for-bit identical to the unbatched operator.
+  /// Whether the post-pruning refinement cascade fans out: > 1 runs each
+  /// batch's pair evaluations as kRefine work items on the Scheduler (when
+  /// sched_threads >= 1; the fan-out width is the scheduler's); 1 = inline
+  /// sequential refinement. Every setting produces identical matches,
+  /// MatchSet, and PruneStats.
   int refine_threads = 1;
-  /// Number of ER-grid shards (cells partitioned by cell-key hash;
-  /// Candidates fans out over shards and merges deterministically). 1 = the
-  /// original single grid with no fan-out pool. Every setting produces
-  /// identical matches, MatchSet, and PruneStats.
-  int grid_shards = 1;
   /// Bound on ingested micro-batches buffered ahead of refinement by the
   /// async ingest path of ProcessStream: 0 = fully synchronous (ingest and
-  /// refinement alternate on the calling thread, bit-identical to the
-  /// pre-async operator); >= 1 runs ingest on its own thread so
-  /// imputation/candidate generation of batch k+1 overlaps refinement of
-  /// batch k, at most this many batches ahead.
+  /// refinement alternate on the calling thread); >= 1 runs ingest as a
+  /// kIngest chain on the Scheduler, so imputation/candidate generation of
+  /// batch k+1 overlaps refinement of batch k, at most this many batches
+  /// ahead. Requires sched_threads >= 1 (checked at pipeline construction).
   int ingest_queue_depth = 0;
   /// Enables the signature-bounded Jaccard kernel inside refinement: the
   /// per-(instance, attribute) token signatures precomputed in each
@@ -77,29 +74,14 @@ struct EngineConfig {
   /// outcome counters are bit-identical across widths (equivalence sweep
   /// enforced); only the sig_* observability counters may differ.
   int sig_width = 64;
-  /// MaintainPhase fan-out: 1 = grid insert/remove runs serially on the
-  /// maintaining thread (seed behavior); > 1 = the per-shard insert/remove
-  /// work of one arrival is fanned out across the ER-grid's shards on its
-  /// ThreadPool (effective width is the number of shards the arrival
-  /// touches, at most grid_shards). Shards share no state, so every
-  /// setting produces identical grid contents and results.
-  int maintain_shards = 1;
-  /// Worker count of the unified phase-tagged Scheduler (DESIGN.md §10).
-  /// 0 = legacy per-subsystem execution: the refinement ThreadPool, the
-  /// ER-grid's probe/maintain pool, and the dedicated SPSC ingest thread,
-  /// exactly as configured by the knobs above (seed behavior, the
-  /// equivalence oracle). >= 1 = all four phases (ingest, candidate,
-  /// refine, maintain) dispatch onto one shared pool of this many workers;
-  /// the phase knobs above still gate *whether* each phase fans out, this
-  /// knob sets the shared worker budget. Every setting produces identical
+  /// Worker count of the phase-tagged Scheduler (DESIGN.md §10). 0 = no
+  /// scheduler: every phase runs inline on the calling thread (the
+  /// synchronous sequential operator, the equivalence oracle). >= 1 = one
+  /// shared pool of this many workers serves the refine fan-out and the
+  /// async ingest chain; refine_threads and ingest_queue_depth gate
+  /// *whether* each phase uses it. Every setting produces identical
   /// matches, MatchSet, and PruneStats (the equivalence sweep enforces it).
   int sched_threads = 0;
-  /// Enables the batch-scoped CDD-selection memoization probe
-  /// (CostBreakdown::cdd_memo_*). Off by default: the PR-3 measurement
-  /// found a near-zero hit rate on every profile, so the hot loop no
-  /// longer pays for the signature bookkeeping unless explicitly asked to
-  /// re-measure (see ROADMAP).
-  bool cdd_memo_probe = false;
   /// Physical storage backend behind the repository R the engines read
   /// (DESIGN.md §8). Engines never construct repositories themselves —
   /// Experiment::BuildRepository consults this (building and mmapping a
@@ -125,10 +107,10 @@ struct EngineConfig {
   /// everything (the queue bound is waived under pressure) and refine
   /// pressured batches with signature-bound-only verdicts, recording
   /// undecided pairs as deferred. Only meaningful with
-  /// ingest_queue_depth >= 1; the synchronous operator never sheds. block
-  /// is bit-identical to the oracle; the other policies are bit-identical
-  /// too whenever the pressure signal never fires (the equivalence sweep
-  /// enforces both).
+  /// ingest_queue_depth >= 1 (hence sched_threads >= 1); the synchronous
+  /// operator never sheds. block is bit-identical to the oracle; the other
+  /// policies are bit-identical too whenever the pressure signal never
+  /// fires (the equivalence sweep enforces both).
   OverloadPolicy overload_policy = OverloadPolicy::kBlock;
 };
 

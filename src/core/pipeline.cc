@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <thread>
 #include <utility>
 
 #include "er/probability.h"
@@ -12,51 +11,36 @@
 
 namespace terids {
 
-size_t ErPipeline::ProcessStream(StreamDriver* driver, size_t max_arrivals,
-                                 size_t batch_size, const OutcomeSink& sink) {
-  TERIDS_CHECK(driver != nullptr);
-  TERIDS_CHECK(batch_size >= 1);
-  size_t processed = 0;
-  while (processed < max_arrivals && driver->HasNext()) {
-    const std::vector<Record> batch =
-        driver->NextBatch(std::min(batch_size, max_arrivals - processed));
-    for (ArrivalOutcome& outcome : ProcessBatch(batch)) {
-      sink(std::move(outcome));
-      ++processed;
-    }
-  }
-  return processed;
-}
-
 PipelineBase::PipelineBase(Repository* repo, EngineConfig config,
                            int num_streams, bool use_grid, bool use_prunings,
                            std::string name)
     : repo_(repo),
       config_(std::move(config)),
+      sched_(config_.sched_threads >= 1
+                 ? std::make_unique<Scheduler>(config_.sched_threads)
+                 : nullptr),
       topic_(repo->dict(), config_.keywords),
       use_prunings_(use_prunings),
-      name_(std::move(name)) {
+      name_(std::move(name)),
+      refiner_(config_.refine_threads > 1 ? sched_.get() : nullptr) {
   TERIDS_CHECK(repo != nullptr);
   TERIDS_CHECK(repo->has_pivots());
   TERIDS_CHECK(num_streams >= 2);
   TERIDS_CHECK(config_.batch_size >= 1);
   TERIDS_CHECK(config_.refine_threads >= 1);
-  TERIDS_CHECK(config_.grid_shards >= 1);
   TERIDS_CHECK(config_.ingest_queue_depth >= 0);
-  TERIDS_CHECK(config_.maintain_shards >= 1);
   TERIDS_CHECK(config_.sched_threads >= 0);
+  // Async ingest (and with it the overload layer) exists only as the
+  // Scheduler's kIngest chain.
+  TERIDS_CHECK(config_.ingest_queue_depth == 0 || config_.sched_threads >= 1);
   TERIDS_CHECK(ValidSigBits(config_.sig_width));
-  if (config_.sched_threads >= 1) {
-    sched_ = std::make_unique<Scheduler>(config_.sched_threads);
-  }
   windows_.reserve(num_streams);
   for (int i = 0; i < num_streams; ++i) {
     windows_.emplace_back(config_.window_size);
   }
   if (use_grid) {
-    grid_ = std::make_unique<ShardedErGrid>(repo->num_attributes(),
-                                            config_.cell_width,
-                                            config_.grid_shards, sched_.get());
+    grid_ = std::make_unique<ErGrid>(repo->num_attributes(),
+                                     config_.cell_width);
   }
 }
 
@@ -86,20 +70,6 @@ std::vector<const WindowTuple*> PipelineBase::LinearCandidates(
     }
   }
   return out;
-}
-
-RefinementExecutor* PipelineBase::refiner() {
-  if (refiner_ == nullptr) {
-    if (sched_ != nullptr && config_.refine_threads > 1) {
-      // Unified mode: refinement fans out as kRefine work items on the
-      // shared workers. refine_threads still gates *whether* the phase fans
-      // out; the width is the scheduler's.
-      refiner_ = std::make_unique<RefinementExecutor>(sched_.get());
-    } else {
-      refiner_ = std::make_unique<RefinementExecutor>(config_.refine_threads);
-    }
-  }
-  return refiner_.get();
 }
 
 // --- Phases ----------------------------------------------------------------
@@ -133,7 +103,7 @@ void PipelineBase::CandidatePhase(ArrivalContext* ctx) {
   ScopedTimer timer(&ctx->out.cost.candidate_seconds);
   if (grid_ != nullptr) {
     const bool topic_constrained = !topic_.IsUnconstrained();
-    ShardedErGrid::CandidateResult grid_result =
+    ErGrid::CandidateResult grid_result =
         grid_->Candidates(*ctx->wt, config_.gamma, topic_constrained);
     ctx->candidates = std::move(grid_result.candidates);
     // Grid-level prunes are Theorem 4.1 / Theorem 4.2 kills; account for
@@ -168,7 +138,7 @@ void PipelineBase::ApplyEvaluation(ArrivalContext* ctx,
 
 void PipelineBase::RefinePhase(ArrivalContext* ctx) {
   ScopedTimer timer(&ctx->out.cost.refine_seconds);
-  if (config_.refine_threads <= 1) {
+  if (!refiner_.parallel()) {
     // Sequential fast path: no task materialization, no dispatch — the
     // classic per-candidate loop.
     for (const WindowTuple* cand : ctx->candidates) {
@@ -189,8 +159,8 @@ void PipelineBase::RefinePhase(ArrivalContext* ctx) {
     tasks.push_back({ctx->tuple.get(), &ctx->wt->topic, cand});
   }
   std::vector<PairEvaluation> evals;
-  refiner()->Run(tasks, use_prunings_, config_.signature_filter,
-                 config_.gamma, config_.alpha, &evals);
+  refiner_.Run(tasks, use_prunings_, config_.signature_filter, config_.gamma,
+               config_.alpha, &evals);
   for (size_t i = 0; i < ctx->candidates.size(); ++i) {
     ApplyEvaluation(ctx, ctx->candidates[i], evals[i]);
   }
@@ -199,16 +169,13 @@ void PipelineBase::RefinePhase(ArrivalContext* ctx) {
 void PipelineBase::MaintainPhase(ArrivalContext* ctx,
                                  bool defer_result_eviction) {
   ScopedTimer timer(&ctx->out.cost.maintain_seconds);
-  // The window push decides the eviction first so the arrival's grid
-  // insert and the expired tuple's grid removal can run as one fan-out
-  // (per-shard tasks on the grid pool when maintain_shards > 1); insert
-  // and removal touch independent tuples, so the order swap with the
-  // original insert-push-remove sequence cannot change the grid.
   std::shared_ptr<WindowTuple> evicted =
       windows_[ctx->record.stream_id].Push(ctx->wt);
   if (grid_ != nullptr) {
-    grid_->Maintain(ctx->wt.get(), evicted.get(),
-                    /*parallel=*/config_.maintain_shards > 1);
+    grid_->Insert(ctx->wt.get());
+    if (evicted != nullptr) {
+      TERIDS_CHECK(grid_->Remove(evicted.get()));
+    }
   }
   if (evicted != nullptr) {
     if (!defer_result_eviction) {
@@ -225,7 +192,6 @@ void PipelineBase::MaintainPhase(ArrivalContext* ctx,
 
 void PipelineBase::IngestBatch(const std::vector<Record>& batch,
                                std::vector<ArrivalContext>* ctxs) {
-  BeginBatch();
   ctxs->reserve(ctxs->size() + batch.size());
   // Impute / candidates / maintain per arrival, in arrival order, with
   // refinement deferred: the window, grid, and imputer state each batch
@@ -260,8 +226,8 @@ void PipelineBase::RefineAndReplay(std::vector<ArrivalContext>* ctxs) {
   std::vector<PairEvaluation> evals;
   {
     ScopedTimer timer(&refine_wall);
-    refiner()->Run(tasks, use_prunings_, config_.signature_filter,
-                   config_.gamma, config_.alpha, &evals);
+    refiner_.Run(tasks, use_prunings_, config_.signature_filter,
+                 config_.gamma, config_.alpha, &evals);
   }
 
   // Replay in arrival order: evaluations fold into each arrival's stats
@@ -333,24 +299,19 @@ bool PipelineBase::PressureHigh(BatchQueue<IngestedBatch>* queue) {
   if (queue->size() >= queue->capacity()) {
     return true;
   }
-  if (sched_ != nullptr) {
-    // Second signal: the handoff has room but the consumer's fan-outs are
-    // drowning the shared workers — unclaimed non-ingest tasks piled up
-    // past a multiple of the queue bound.
-    const std::array<int64_t, kNumExecPhases> backlog =
-        sched_->ApproxBacklogByPhase();
-    int64_t pending = 0;
-    for (int p = 0; p < kNumExecPhases; ++p) {
-      if (p != static_cast<int>(ExecPhase::kIngest)) {
-        pending += backlog[p];
-      }
-    }
-    if (pending > kSchedBacklogPressureFactor *
-                      static_cast<int64_t>(queue->capacity())) {
-      return true;
+  // Second signal: the handoff has room but the consumer's fan-outs are
+  // drowning the shared workers — unclaimed non-ingest tasks piled up past
+  // a multiple of the queue bound.
+  const std::array<int64_t, kNumExecPhases> backlog =
+      sched_->ApproxBacklogByPhase();
+  int64_t pending = 0;
+  for (int p = 0; p < kNumExecPhases; ++p) {
+    if (p != static_cast<int>(ExecPhase::kIngest)) {
+      pending += backlog[p];
     }
   }
-  return false;
+  return pending >
+         kSchedBacklogPressureFactor * static_cast<int64_t>(queue->capacity());
 }
 
 PipelineBase::ProduceResult PipelineBase::ProduceOne(
@@ -458,8 +419,7 @@ size_t PipelineBase::DrainQueue(BatchQueue<IngestedBatch>* queue,
     for (ArrivalContext& ctx : ib.ctxs) {
       // Stage walls overlap across batches, so their sum upper-bounds the
       // wall attribution of this batch; queue_wait isolates how long
-      // refinement starved for ingest — charged here, once, so the
-      // threaded and scheduled paths account it identically.
+      // refinement starved for ingest.
       ctx.out.disposition = ib.disposition;
       ctx.out.cost.batch_seconds += (ib.ingest_wall + refine_wall) / n;
       ctx.out.cost.queue_wait_seconds += wait_wall / n;
@@ -474,7 +434,6 @@ size_t PipelineBase::DrainQueue(BatchQueue<IngestedBatch>* queue,
 // --- Operators -------------------------------------------------------------
 
 ArrivalOutcome PipelineBase::ProcessArrival(const Record& r) {
-  BeginBatch();
   ArrivalContext ctx(r);
   ImputePhase(&ctx);
   {
@@ -534,9 +493,9 @@ size_t PipelineBase::ProcessStream(StreamDriver* driver, size_t max_arrivals,
   const bool async_safe =
       imputer_ == nullptr || !imputer_->MutatesRefinementState();
   if (config_.ingest_queue_depth <= 0 || !async_safe) {
-    // Fully synchronous: the default alternating loop, bit-identical to the
-    // pre-async operator (including the one-at-a-time path for batch 1),
-    // with per-arrival latency stamped at emission.
+    // Fully synchronous: NextBatch and ProcessBatch alternate on this
+    // thread (the one-at-a-time path for batch 1), with per-arrival latency
+    // stamped at emission.
     size_t processed = 0;
     while (processed < max_arrivals && driver->HasNext()) {
       const std::vector<Record> batch =
@@ -550,69 +509,19 @@ size_t PipelineBase::ProcessStream(StreamDriver* driver, size_t max_arrivals,
     }
     return processed;
   }
-  return sched_ != nullptr
-             ? ProcessStreamScheduled(driver, max_arrivals, batch_size, sink)
-             : ProcessStreamThreaded(driver, max_arrivals, batch_size, sink);
-}
 
-size_t PipelineBase::ProcessStreamThreaded(StreamDriver* driver,
-                                           size_t max_arrivals,
-                                           size_t batch_size,
-                                           const OutcomeSink& sink) {
-  // Two-stage pipeline over a bounded SPSC handoff. Stage ownership while
-  // the ingest thread runs: windows_/grid_/imputer_/driver belong to the
-  // ingest thread, matches_/cum_stats_/refiner belong to this thread; the
-  // queue's mutex provides the happens-before edge at each batch handoff,
-  // and tuples a later batch evicts stay alive through that batch's
-  // contexts until its own (later) replay.
-  BatchQueue<IngestedBatch> queue(
-      static_cast<size_t>(config_.ingest_queue_depth));
-  std::thread ingest([&] {
-    size_t ingested = 0;
-    while (true) {
-      const ProduceResult result =
-          ProduceOne(driver, max_arrivals, batch_size, &queue, &ingested);
-      if (result == ProduceResult::kCancelled) {
-        return;  // Consumer cancelled (threw); stop ingesting.
-      }
-      if (result == ProduceResult::kExhausted) {
-        queue.Close();
-        return;
-      }
-    }
-  });
-
-  size_t processed = 0;
-  try {
-    processed = DrainQueue(&queue, sink);
-  } catch (...) {
-    // A throwing sink (or refinement) must not unwind past a joinable
-    // ingest thread blocked in Push on this stack frame's queue: cancel
-    // the handoff (unblocks Push, which returns false and stops the
-    // producer within one batch), join, then rethrow.
-    queue.Cancel();
-    ingest.join();
-    throw;
-  }
-  ingest.join();
-  return processed;
-}
-
-size_t PipelineBase::ProcessStreamScheduled(StreamDriver* driver,
-                                            size_t max_arrivals,
-                                            size_t batch_size,
-                                            const OutcomeSink& sink) {
-  // Same two-stage split and ownership discipline as the threaded path,
-  // but the ingest stage runs as a chain of self-resubmitting kIngest work
-  // items on the shared scheduler (DESIGN.md §10) instead of owning a
-  // thread: each item ingests one batch, pushes it through the bounded
-  // handoff, and submits the next link. At most one link exists at a time,
-  // so driver/windows_/grid_/imputer_ keep a single logical owner (the
-  // scheduler's queue mutex orders consecutive links); the handoff queue's
-  // mutex orders ingest against replay exactly as before. The chain link is
-  // the only scheduler work item that may block (in Push), and the thread
-  // it waits on — this consumer — makes progress without free workers
-  // because its own fan-outs self-drain.
+  // Two-stage pipeline over a bounded handoff. The ingest stage runs as a
+  // chain of self-resubmitting kIngest work items on the shared scheduler
+  // (DESIGN.md §10): each item ingests one batch, pushes it through the
+  // bounded handoff, and submits the next link. At most one link exists at
+  // a time, so driver/windows_/grid_/imputer_ keep a single logical owner
+  // (the scheduler's queue mutex orders consecutive links), while
+  // matches_/cum_stats_ belong to this thread; the handoff queue's mutex
+  // orders ingest against replay, and tuples a later batch evicts stay
+  // alive through that batch's contexts until its own (later) replay. The
+  // chain link is the only scheduler work item that may block (in Push),
+  // and the thread it waits on — this consumer — makes progress without
+  // free workers because its own fan-outs self-drain.
   BatchQueue<IngestedBatch> queue(
       static_cast<size_t>(config_.ingest_queue_depth));
   // Chain-completion latch (rank kPipelineChain: acquired alone, never

@@ -23,7 +23,7 @@
 #include "stream/overload.h"
 #include "stream/sliding_window.h"
 #include "stream/stream_driver.h"
-#include "synopsis/sharded_er_grid.h"
+#include "synopsis/er_grid.h"
 #include "tuple/record.h"
 #include "util/stopwatch.h"
 
@@ -41,18 +41,11 @@ class ErPipeline {
 
   /// Processes a timestamp-ordered micro-batch (StreamDriver::NextBatch)
   /// and returns one outcome per record, in arrival order. Semantically
-  /// identical to calling ProcessArrival on each record in order — the
-  /// default does exactly that; PipelineBase overrides it to amortize work
-  /// across the batch and refine candidate pairs in parallel.
+  /// identical to calling ProcessArrival on each record in order, with the
+  /// work amortized across the batch and candidate pairs refined in
+  /// parallel.
   virtual std::vector<ArrivalOutcome> ProcessBatch(
-      const std::vector<Record>& batch) {
-    std::vector<ArrivalOutcome> outcomes;
-    outcomes.reserve(batch.size());
-    for (const Record& r : batch) {
-      outcomes.push_back(ProcessArrival(r));
-    }
-    return outcomes;
-  }
+      const std::vector<Record>& batch) = 0;
 
   /// Sink for per-arrival outcomes, invoked strictly in arrival order.
   using OutcomeSink = std::function<void(ArrivalOutcome&&)>;
@@ -60,12 +53,9 @@ class ErPipeline {
   /// Drives the pipeline over `driver` until `max_arrivals` records have
   /// been consumed (or the driver runs dry), feeding micro-batches of up to
   /// `batch_size` records and handing every outcome to `sink` in arrival
-  /// order. Returns the number of arrivals processed. The default loops
-  /// NextBatch -> ProcessBatch synchronously; PipelineBase overrides it
-  /// with an async double-buffered ingest loop when
-  /// EngineConfig::ingest_queue_depth > 0.
+  /// order. Returns the number of arrivals processed.
   virtual size_t ProcessStream(StreamDriver* driver, size_t max_arrivals,
-                               size_t batch_size, const OutcomeSink& sink);
+                               size_t batch_size, const OutcomeSink& sink) = 0;
 
   virtual const MatchSet& results() const = 0;
   virtual const PruneStats& cumulative_stats() const = 0;
@@ -99,10 +89,11 @@ class ErPipeline {
 /// processing), defers all pair refinement into one batch-wide task set,
 /// executes it on the RefinementExecutor, and replays match insertion and
 /// result-set eviction in arrival order. ProcessStream additionally
-/// pipelines the two stages across batches on an ingest thread when
-/// EngineConfig::ingest_queue_depth > 0 (DESIGN.md §7). Output is
-/// bit-for-bit identical to sequential processing for every batch_size /
-/// refine_threads / grid_shards / ingest_queue_depth setting.
+/// pipelines the two stages across batches as a kIngest chain on the
+/// Scheduler when EngineConfig::ingest_queue_depth > 0 (DESIGN.md §7).
+/// Output is bit-for-bit identical to sequential processing for every
+/// batch_size / refine_threads / sched_threads / ingest_queue_depth
+/// setting.
 ///
 /// Subclasses override the imputation hook (and inherit either the
 /// grid-based or linear candidate generation depending on configuration).
@@ -120,14 +111,15 @@ class PipelineBase : public ErPipeline {
   ArrivalOutcome ProcessArrival(const Record& r) override;
   std::vector<ArrivalOutcome> ProcessBatch(
       const std::vector<Record>& batch) override;
-  /// With `ingest_queue_depth == 0`, the synchronous default loop. With a
-  /// positive depth, a two-stage pipeline: an ingest thread pulls batches
-  /// from the driver and runs impute/candidates/maintain (the window, grid,
-  /// and imputer state is owned by that thread for the duration), pushing
-  /// ingested batches through a bounded BatchQueue; the calling thread pops
-  /// batches in order, runs deferred refinement + replay, and emits
-  /// outcomes — so ingest of batch k+1 overlaps refinement of batch k.
-  /// Output is bit-identical to the synchronous loop for every queue depth.
+  /// With `ingest_queue_depth == 0`, the synchronous NextBatch ->
+  /// ProcessBatch loop. With a positive depth, a two-stage pipeline: a
+  /// chain of kIngest work items on the Scheduler pulls batches from the
+  /// driver and runs impute/candidates/maintain (the window, grid, and
+  /// imputer state belong to the chain for the duration), pushing ingested
+  /// batches through a bounded BatchQueue; the calling thread pops batches
+  /// in order, runs deferred refinement + replay, and emits outcomes — so
+  /// ingest of batch k+1 overlaps refinement of batch k. Output is
+  /// bit-identical to the synchronous loop for every queue depth.
   size_t ProcessStream(StreamDriver* driver, size_t max_arrivals,
                        size_t batch_size, const OutcomeSink& sink) override;
   const MatchSet& results() const override { return matches_; }
@@ -148,12 +140,6 @@ class PipelineBase : public ErPipeline {
                                                         const ProbeCoords& pc,
                                                         CostBreakdown* cost);
 
-  /// Batch-boundary hook, called once before the first arrival of every
-  /// micro-batch (and before each arrival in one-at-a-time processing,
-  /// where every arrival is its own batch). Subclasses reset batch-scoped
-  /// probes here (e.g. the TER-iDS CDD-memoization signature set).
-  virtual void BeginBatch() {}
-
   // --- Arrival pipeline phases (Algorithm 2) -----------------------------
 
   /// Lines 8-10: probe coordinates, imputation, topic classification.
@@ -165,9 +151,6 @@ class PipelineBase : public ErPipeline {
   /// evaluations into the arrival's stats and the result set immediately.
   void RefinePhase(ArrivalContext* ctx);
   /// Lines 2-7, 11-13: grid + window insertion and the eviction cascade.
-  /// With `EngineConfig::maintain_shards > 1` the arrival's grid insert and
-  /// the expired tuple's grid removal fan out per shard on the grid's
-  /// ThreadPool (DESIGN.md §9); output is identical for every setting.
   /// When `defer_result_eviction`, the expired tuple's MatchSet removal is
   /// left to the caller (batched mode replays it after deferred
   /// refinement, in arrival order) and the tuple is parked in
@@ -176,13 +159,14 @@ class PipelineBase : public ErPipeline {
 
   Repository* repo_;
   EngineConfig config_;
-  /// Unified scheduler (EngineConfig::sched_threads >= 1); null in legacy
-  /// per-pool mode. Declared before every member whose methods dispatch
-  /// onto it so it is destroyed last (after draining all pending work).
+  /// The Scheduler (EngineConfig::sched_threads >= 1); null when every
+  /// phase runs inline on the caller. Declared before every member whose
+  /// methods dispatch onto it so it is destroyed last (after draining all
+  /// pending work).
   std::unique_ptr<Scheduler> sched_;
   TopicQuery topic_;
   std::vector<SlidingWindow> windows_;
-  std::unique_ptr<ShardedErGrid> grid_;
+  std::unique_ptr<ErGrid> grid_;
   std::unique_ptr<Imputer> imputer_;
   MatchSet matches_;
   PruneStats cum_stats_;
@@ -219,10 +203,10 @@ class PipelineBase : public ErPipeline {
   /// the result set (the single place MatchPairs are constructed).
   void ApplyEvaluation(ArrivalContext* ctx, const WindowTuple* cand,
                        const PairEvaluation& eval);
-  /// Ingest stage: BeginBatch, then impute/candidates/maintain per record
-  /// in arrival order with refinement deferred and result-set eviction
-  /// parked in each context. Touches windows_/grid_/imputer_ only — under
-  /// async ingest it runs on the ingest thread.
+  /// Ingest stage: impute/candidates/maintain per record in arrival order
+  /// with refinement deferred and result-set eviction parked in each
+  /// context. Touches windows_/grid_/imputer_ only — under async ingest it
+  /// runs in the Scheduler's kIngest chain.
   void IngestBatch(const std::vector<Record>& batch,
                    std::vector<ArrivalContext>* ctxs);
   /// Refine stage: builds the batch-wide task set, runs it on the
@@ -248,35 +232,24 @@ class PipelineBase : public ErPipeline {
   bool PressureHigh(BatchQueue<IngestedBatch>* queue);
   /// One producer step of the async pipeline: pulls the next micro-batch
   /// from the driver, applies config_.overload_policy at admission, and
-  /// hands the ingested batch to `queue`. Shared by the dedicated ingest
-  /// thread and the scheduler's kIngest chain so both paths shed, degrade,
-  /// and account identically. Producer stage: touches windows_/grid_/
-  /// imputer_/driver and the producer fields of shed_.
+  /// hands the ingested batch to `queue`: one link of the kIngest chain.
+  /// Producer stage: touches windows_/grid_/imputer_/driver and the
+  /// producer fields of shed_.
   ProduceResult ProduceOne(StreamDriver* driver, size_t max_arrivals,
                            size_t batch_size,
                            BatchQueue<IngestedBatch>* queue, size_t* ingested);
-  /// The consumer loop shared by both async paths: pops batches until the
-  /// queue closes, dispatches refinement on each batch's disposition, and
-  /// emits outcomes in arrival order with identical batch/queue-wait/
-  /// latency accounting in both modes. Returns arrivals emitted.
+  /// The consumer loop of the async path: pops batches until the queue
+  /// closes, dispatches refinement on each batch's disposition, and emits
+  /// outcomes in arrival order with batch/queue-wait/latency accounting.
+  /// Returns arrivals emitted.
   size_t DrainQueue(BatchQueue<IngestedBatch>* queue, const OutcomeSink& sink);
-  /// Lazily constructed parallel refiner: a private pool of
-  /// config_.refine_threads workers in legacy mode, a scheduler-dispatching
-  /// executor in unified mode (still inline when refine_threads <= 1).
-  RefinementExecutor* refiner();
   /// Folds one emitted arrival into the per-arrival latency histograms:
   /// phase latencies from the outcome's cost fields, end-to-end from
   /// `e2e_seconds` (batch admission to emission). Caller-thread only.
   void RecordArrivalLatency(const CostBreakdown& cost, double e2e_seconds);
-  /// The two pipelined ProcessStream bodies behind the dispatch in
-  /// ProcessStream: the legacy dedicated ingest thread and the unified
-  /// scheduler's self-resubmitting kIngest chain (DESIGN.md §7, §10).
-  size_t ProcessStreamThreaded(StreamDriver* driver, size_t max_arrivals,
-                               size_t batch_size, const OutcomeSink& sink);
-  size_t ProcessStreamScheduled(StreamDriver* driver, size_t max_arrivals,
-                                size_t batch_size, const OutcomeSink& sink);
-
-  std::unique_ptr<RefinementExecutor> refiner_;
+  /// Pair refinement: fans out on sched_ when refine_threads > 1 and a
+  /// scheduler exists, otherwise evaluates inline.
+  RefinementExecutor refiner_;
   /// Per-arrival latency accounting, updated at emission on the consumer
   /// (calling) thread only.
   LatencyStats latency_;

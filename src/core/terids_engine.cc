@@ -4,7 +4,6 @@
 
 #include "imputation/rule_based_imputer.h"
 #include "rules/rule_miner.h"
-#include "util/hash.h"
 #include "util/stopwatch.h"
 
 namespace terids {
@@ -50,33 +49,6 @@ std::vector<AttrBand> TerIdsEngine::BandsForRule(const CddRule& rule,
   return bands;
 }
 
-void TerIdsEngine::BeginBatch() {
-  if (config_.cdd_memo_probe) {
-    batch_cdd_sigs_.clear();
-  }
-}
-
-uint64_t TerIdsEngine::DeterminantSignature(const Record& r,
-                                            int missing_attr) {
-  // FNV-1a over the missing attribute index and every non-missing
-  // attribute's (index, token ids). SelectRules reads nothing else from the
-  // arrival, so equal signatures imply an identical selection result.
-  uint64_t h = kFnv1aOffsetBasis;
-  h = Fnv1aMix(h, static_cast<uint64_t>(static_cast<uint32_t>(missing_attr)));
-  for (int a = 0; a < r.num_attributes(); ++a) {
-    const AttrValue& value = r.values[a];
-    if (value.missing) {
-      continue;
-    }
-    h = Fnv1aMix(h, static_cast<uint64_t>(static_cast<uint32_t>(a)) |
-                        (1ULL << 32));
-    for (Token t : value.tokens) {
-      h = Fnv1aMix(h, static_cast<uint64_t>(static_cast<uint32_t>(t)));
-    }
-  }
-  return h;
-}
-
 std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
     const Record& r, const ProbeCoords& pc, CostBreakdown* cost) {
   std::vector<ImputedTuple::ImputedAttr> result;
@@ -114,18 +86,6 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
     return true;
   };
   for (int j : r.MissingAttributes()) {
-    // Memoization probe: would a batch-scoped cache keyed by determinant
-    // signature have answered this selection? Counted only — the selection
-    // still runs, so results are unchanged while CostBreakdown reports the
-    // would-be hit rate. Gated off by default: the measured rate was near
-    // zero on every profile (ROADMAP), so the hot loop skips the signature
-    // hashing unless a run explicitly re-measures.
-    if (config_.cdd_memo_probe && cost != nullptr) {
-      cost->cdd_memo_queries += 1.0;
-      if (!batch_cdd_sigs_.insert(DeterminantSignature(r, j)).second) {
-        cost->cdd_memo_repeats += 1.0;
-      }
-    }
     // CDD selection via the CDD-index.
     std::vector<int> selected;
     {

@@ -1,8 +1,6 @@
 #ifndef TERIDS_CORE_TERIDS_ENGINE_H_
 #define TERIDS_CORE_TERIDS_ENGINE_H_
 
-#include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -48,28 +46,15 @@ class TerIdsEngine : public PipelineBase {
   std::vector<ImputedTuple::ImputedAttr> Impute(const Record& r,
                                                 const ProbeCoords& pc,
                                                 CostBreakdown* cost) override;
-  /// Resets the batch-scoped CDD-selection memoization probe (see below).
-  void BeginBatch() override;
 
  private:
   std::vector<AttrBand> BandsForRule(const CddRule& rule,
                                      const ProbeCoords& pc) const;
-  /// Determinant signature of one (record, missing attribute) CDD
-  /// selection: a hash of the missing attribute index and every non-missing
-  /// attribute's token set — exactly the inputs SelectRules depends on, so
-  /// two arrivals with equal signatures would hit a selection cache.
-  static uint64_t DeterminantSignature(const Record& r, int missing_attr);
 
   std::vector<CddRule> rules_;
   CddIndex cdd_index_;
   DrIndex dr_index_;
   ValueNeighborhoods neighborhoods_;
-  /// CDD-selection memoization probe: determinant signatures seen since the
-  /// last BeginBatch, reported via CostBreakdown::cdd_memo_{queries,
-  /// repeats}. Only maintained when EngineConfig::cdd_memo_probe is set —
-  /// the PR-3 measurement found a near-zero hit rate, so by default the
-  /// hot loop pays nothing for it (ROADMAP decision).
-  std::unordered_set<uint64_t> batch_cdd_sigs_;
 };
 
 }  // namespace terids

@@ -7,12 +7,13 @@
 
 namespace terids {
 
-/// The four work-item phases of the unified scheduler (DESIGN.md §10). The
-/// same tags key the per-arrival phase-latency histograms, so the scheduler
-/// (src/exec) and the accounting layer agree on one vocabulary.
+/// The four arrival-pipeline phases (DESIGN.md §6, §10). They key the
+/// per-arrival phase-latency histograms and tag the Scheduler's work items
+/// (kIngest chain links, kRefine fan-outs), so the scheduler (src/exec) and
+/// the accounting layer agree on one vocabulary.
 enum class ExecPhase {
   kIngest = 0,     // imputation: probe coords, CDD selection, candidates (4)
-  kCandidate = 1,  // ER-grid probe fan-out / linear window scan
+  kCandidate = 1,  // ER-grid probe / linear window scan
   kRefine = 2,     // the Theorem 4.1-4.4 cascade / exact refinement
   kMaintain = 3,   // grid + window insertion, eviction cascade
 };

@@ -110,16 +110,6 @@ void ClassifyTasks(const std::vector<RefinementExecutor::Task>& tasks,
 
 }  // namespace
 
-RefinementExecutor::RefinementExecutor(int num_threads)
-    : pool_(std::make_unique<ThreadPool>(num_threads)) {}
-
-RefinementExecutor::RefinementExecutor(Scheduler* scheduler)
-    : scheduler_(scheduler) {
-  TERIDS_CHECK(scheduler != nullptr);
-}
-
-RefinementExecutor::~RefinementExecutor() = default;
-
 PairEvaluation RefinementExecutor::Evaluate(const Task& task,
                                             bool use_prunings,
                                             bool signature_filter,
@@ -153,7 +143,7 @@ void RefinementExecutor::Run(const std::vector<Task>& tasks,
   if (n == 0) {
     return;
   }
-  if (num_threads() == 1) {
+  if (scheduler_ == nullptr) {
     for (int64_t i = 0; i < n; ++i) {
       (*evaluations)[i] =
           Evaluate(tasks[i], use_prunings, signature_filter, gamma, alpha);
@@ -176,7 +166,7 @@ void RefinementExecutor::Run(const std::vector<Task>& tasks,
   // (deep instance cross products) does not serialize the whole batch.
   // Light shards are 8x coarser: each task is just a popcount cascade.
   const int64_t shard_size = std::max<int64_t>(
-      1, n / (static_cast<int64_t>(num_threads()) * 4));
+      1, n / (static_cast<int64_t>(scheduler_->concurrency()) * 4));
   const int64_t light_shard_size = shard_size * 8;
   const int64_t heavy_shards = (heavy_n + shard_size - 1) / shard_size;
   const int64_t light_shards =
@@ -199,11 +189,7 @@ void RefinementExecutor::Run(const std::vector<Task>& tasks,
     }
   };
   const int64_t num_shards = heavy_shards + light_shards;
-  if (scheduler_ != nullptr) {
-    scheduler_->ParallelFor(ExecPhase::kRefine, num_shards, run_shard);
-  } else {
-    pool_->ParallelFor(num_shards, run_shard);
-  }
+  scheduler_->ParallelFor(ExecPhase::kRefine, num_shards, run_shard);
 }
 
 }  // namespace terids

@@ -15,33 +15,31 @@
 
 namespace terids {
 
-/// The unified execution scheduler (DESIGN.md §10): one fixed worker pool
-/// serving every parallel phase of the arrival pipeline — ER-grid probe
-/// fan-out (kCandidate), pair refinement (kRefine), sharded window/grid
-/// maintenance (kMaintain), and the chained ingest stage of async
-/// ProcessStream (kIngest) — through one multi-producer submission queue,
-/// replacing the per-subsystem ThreadPools and the dedicated SPSC ingest
-/// thread of the §6–§9 execution model.
+/// The execution scheduler (DESIGN.md §10): the engine's only worker pool,
+/// and the only place the library starts threads. It serves every
+/// parallel phase of the arrival pipeline — pair refinement (kRefine) and
+/// the chained ingest stage of async ProcessStream (kIngest) — through one
+/// multi-producer submission queue. Work items carry a phase tag (the
+/// ExecPhase vocabulary shared with the per-arrival latency histograms), so
+/// service times are accounted per phase.
 ///
 /// Thread-safety: every public method is safe to call concurrently from any
 /// thread. Each ParallelFor is an independent job with its own completion
-/// barrier, so fan-outs from different threads (e.g. the ingest chain's
-/// candidate probe and the caller's refinement) interleave freely on the
-/// shared workers — the restriction that forced per-subsystem pools
-/// (ThreadPool serves one ParallelFor at a time) is gone.
+/// barrier, so fan-outs from different threads interleave freely on the
+/// shared workers.
 ///
 /// Blocking discipline: a ParallelFor caller first drains every unclaimed
 /// task of its own job inline, then waits only for tasks already claimed by
 /// workers. A job therefore completes even when every worker is busy or
-/// blocked elsewhere, which makes nested fan-outs (a kIngest item running a
-/// kMaintain fan-out) and a bounded-queue handoff inside a work item
-/// deadlock-free: at most the ingest chain's single in-flight item ever
-/// blocks, and the thread it waits on (the stream consumer) never needs a
-/// free worker to make progress.
+/// blocked elsewhere, which makes nested fan-outs (a fan-out inside a work
+/// item) and a bounded-queue handoff inside a work item deadlock-free: at
+/// most the ingest chain's single in-flight item ever blocks, and the
+/// thread it waits on (the stream consumer) never needs a free worker to
+/// make progress.
 ///
 /// Determinism: which worker runs which task is nondeterministic; callers
-/// needing deterministic output must write into per-task slots exactly as
-/// with ThreadPool (RefinementExecutor, ShardedErGrid do).
+/// needing deterministic output must write into per-task slots, as
+/// RefinementExecutor does.
 ///
 /// Locking model (DESIGN.md §12): the submission queue, the in-flight
 /// count, and the shutdown flag are guarded by `mu_` (rank
@@ -53,8 +51,8 @@ namespace terids {
 class Scheduler {
  public:
   /// Spawns `num_workers` >= 1 persistent workers. (A zero-worker scheduler
-  /// is meaningless — EngineConfig::sched_threads == 0 selects the legacy
-  /// per-subsystem pools instead of constructing a Scheduler at all.)
+  /// is meaningless — EngineConfig::sched_threads == 0 runs every phase
+  /// inline instead of constructing a Scheduler at all.)
   explicit Scheduler(int num_workers);
   /// Drains every pending and in-flight work item (nothing submitted is
   /// ever lost), then joins the workers. Callers must not submit
@@ -74,8 +72,8 @@ class Scheduler {
   /// completion barrier). Safe to call concurrently from multiple threads
   /// and to nest inside a work item. If fn throws on the calling thread,
   /// remaining unclaimed tasks are cancelled, in-flight tasks are awaited,
-  /// and the exception is rethrown; fn must not throw on a worker (as with
-  /// ThreadPool, that would terminate).
+  /// and the exception is rethrown; fn must not throw on a worker (that
+  /// would terminate).
   void ParallelFor(ExecPhase phase, int64_t num_tasks,
                    const std::function<void(int64_t)>& fn);
 

@@ -12,10 +12,9 @@ namespace terids {
 
 /// A bounded multi-producer / single-consumer handoff queue for the async
 /// ingest pipeline (DESIGN.md §7, §10): ingested micro-batches are pushed
-/// in FIFO order — by the dedicated ingest thread in legacy mode
-/// (sched_threads = 0), or by whichever scheduler worker runs the current
-/// kIngest chain link in scheduler mode, where successive pushes come from
-/// different threads — the refine (consumer) thread pops them, and the
+/// in FIFO order by whichever scheduler worker runs the current kIngest
+/// chain link, so successive pushes come from different threads — the
+/// refine (consumer) thread pops them, and the
 /// bound caps how far ingest may run ahead of refinement. Any number of
 /// threads may Push concurrently; Pop is single-consumer. Close is a
 /// producer-side signal, Cancel a consumer-side one; both are safe from any
@@ -27,8 +26,7 @@ namespace terids {
 /// carries — simplicity and TSan-provable correctness win over lock-free
 /// cleverness. The mutex also supplies the happens-before edge that makes
 /// the producer's window/grid/imputer mutations visible to the consumer
-/// (and, in scheduler mode, chains the edge from one kIngest link's worker
-/// to the next).
+/// (and chains the edge from one kIngest link's worker to the next).
 ///
 /// Locking model (DESIGN.md §12): all mutable state is guarded by `mu_`
 /// (rank lock_rank::kBatchQueue, the lowest rank — nothing may be acquired

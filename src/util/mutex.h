@@ -17,8 +17,8 @@ namespace terids {
 /// detection.
 ///
 /// The named ranks document the engine's only permitted nesting chains:
-/// handoff queues lock before executor/shard state, which locks before the
-/// latency-histogram rings — "queue before shard before histogram". Today
+/// handoff queues lock before executor state, which locks before the
+/// latency-histogram rings — "queue before executor before histogram". Today
 /// the single live nesting is Scheduler::mu_ -> Scheduler::ext_mu_
 /// (ConsumeLatencies folds the external callers' ring while holding the
 /// scheduler queue lock); every other mutex is acquired alone, and the
@@ -30,10 +30,8 @@ namespace lock_rank {
 inline constexpr int kUnranked = 0;
 /// stream/batch_queue.h — the bounded ingest->refine handoff.
 inline constexpr int kBatchQueue = 100;
-/// core/pipeline.cc — the ProcessStreamScheduled chain-completion latch.
+/// core/pipeline.cc — the async ProcessStream chain-completion latch.
 inline constexpr int kPipelineChain = 200;
-/// exec/thread_pool.h — legacy per-subsystem pool job state.
-inline constexpr int kThreadPool = 300;
 /// exec/scheduler.h — the unified scheduler's submission queue (mu_).
 inline constexpr int kScheduler = 400;
 /// exec/scheduler.h — the external ParallelFor callers' latency ring

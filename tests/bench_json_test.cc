@@ -124,7 +124,8 @@ class EnvIntTest : public ::testing::Test {
     unsetenv(kKnob);
     unsetenv("TERIDS_BENCH_REPO_BACKEND");
     unsetenv("TERIDS_BENCH_SIGFILTER");
-    unsetenv("TERIDS_BENCH_MAINTAIN");
+    unsetenv("TERIDS_BENCH_QUEUE");
+    unsetenv("TERIDS_BENCH_SCHED");
   }
 
   /// Runs EnvInt and returns {value, stderr output}.
@@ -178,15 +179,25 @@ TEST_F(EnvIntTest, RejectsBelowMinimumWithMessage) {
   EXPECT_NE(err.find("below the minimum"), std::string::npos) << err;
 }
 
-TEST_F(EnvIntTest, SignatureFilterAndMaintainKnobsParse) {
-  // Defaults: signature filter on, serial maintain.
-  EXPECT_TRUE(EnvExecKnobs().signature_filter);
-  EXPECT_EQ(EnvExecKnobs().maintain_shards, 1);
+TEST_F(EnvIntTest, SignatureFilterKnobParses) {
+  EXPECT_TRUE(EnvExecKnobs().signature_filter);  // default on
   setenv("TERIDS_BENCH_SIGFILTER", "0", 1);
-  setenv("TERIDS_BENCH_MAINTAIN", "4", 1);
+  EXPECT_FALSE(EnvExecKnobs().signature_filter);
+}
+
+TEST_F(EnvIntTest, QueueWithoutSchedulerIsRejectedLoudly) {
+  // Async ingest exists only on the Scheduler: a queue depth without
+  // workers would abort the pipeline, so the parser refuses it up front.
+  setenv("TERIDS_BENCH_QUEUE", "2", 1);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(EnvExecKnobs().ingest_queue_depth, 0);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                "needs TERIDS_BENCH_SCHED"),
+            std::string::npos);
+  setenv("TERIDS_BENCH_SCHED", "1", 1);
   const ExecKnobs knobs = EnvExecKnobs();
-  EXPECT_FALSE(knobs.signature_filter);
-  EXPECT_EQ(knobs.maintain_shards, 4);
+  EXPECT_EQ(knobs.ingest_queue_depth, 2);
+  EXPECT_EQ(knobs.sched_threads, 1);
 }
 
 TEST_F(EnvIntTest, RepoBackendKnobParsesAndRejectsLoudly) {

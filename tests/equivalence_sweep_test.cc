@@ -7,14 +7,13 @@
 //    changes cost, never results — checked over a grid of query
 //    parameters rather than a single configuration.
 // 2. Across every datagen profile and (batch_size, refine_threads,
-//    grid_shards, ingest_queue_depth, maintain_shards, signature_filter,
-//    sched_threads, sig_width) combination, the batched / parallel /
-//    sharded-grid / async-ingest operator (ProcessStream over ProcessBatch
-//    + RefinementExecutor + ShardedErGrid + BatchQueue, dispatched either
-//    on the legacy per-subsystem pools or the unified Scheduler, with
-//    signatures at any supported width) must be bit-identical to
-//    one-at-a-time ProcessArrival: same per-arrival matches in the same
-//    order, same final MatchSet, same cumulative PruneStats.
+//    ingest_queue_depth, signature_filter, sched_threads, sig_width)
+//    combination, the batched / parallel / async-ingest operator
+//    (ProcessStream over ProcessBatch + RefinementExecutor + BatchQueue,
+//    fanned out on the Scheduler, with signatures at any supported width)
+//    must be bit-identical to one-at-a-time ProcessArrival: same
+//    per-arrival matches in the same order, same final MatchSet, same
+//    cumulative PruneStats.
 
 #include <gtest/gtest.h>
 
@@ -81,124 +80,119 @@ INSTANTIATE_TEST_SUITE_P(
                       Combo{0.5, 0.5, 0.6}, Combo{0.2, 0.4, 0.5},
                       Combo{0.7, 0.6, 0.2}));
 
-// --- Batched / parallel / sharded / async operator equivalence -------------
+// --- Batched / parallel / async operator equivalence -----------------------
 
-// profile, batch, refine_threads, grid_shards, ingest_queue_depth,
-// maintain_shards, signature_filter, sched_threads, sig_width
-using BatchCombo =
-    std::tuple<std::string, int, int, int, int, int, bool, int, int>;
+// profile, batch, refine_threads, ingest_queue_depth, signature_filter,
+// sched_threads, sig_width
+using BatchCombo = std::tuple<std::string, int, int, int, bool, int, int>;
 
 class BatchEquivalenceSweepTest
     : public ::testing::TestWithParam<BatchCombo> {};
 
-struct ReplayResult {
-  std::vector<std::pair<int64_t, int64_t>> emitted;  // in emission order
-  std::vector<MatchPair> final_set;                  // sorted snapshot
-  PruneStats stats;
-};
-
-// Deliberately compares only the outcome counters: the sig_* observability
-// counters (sig_probes / sig_saturated / sig_rejects) legitimately vary
-// with signature_filter and sig_width — they count filter work, not
-// results — so they are excluded from the bit-identity contract.
-void ExpectSameStats(const PruneStats& a, const PruneStats& b) {
-  EXPECT_EQ(a.total_pairs, b.total_pairs);
-  EXPECT_EQ(a.topic_pruned, b.topic_pruned);
-  EXPECT_EQ(a.sim_ub_pruned, b.sim_ub_pruned);
-  EXPECT_EQ(a.prob_ub_pruned, b.prob_ub_pruned);
-  EXPECT_EQ(a.instance_pruned, b.instance_pruned);
-  EXPECT_EQ(a.refined, b.refined);
-  EXPECT_EQ(a.matched, b.matched);
-  // Degradation is required to be *visible*: outside the degrade policy
-  // under pressure, no pair may ever be recorded as deferred.
-  EXPECT_EQ(a.deferred, b.deferred);
-}
-
-TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
-  const auto [profile, batch_size, refine_threads, grid_shards, queue_depth,
-              maintain_shards, signature_filter, sched_threads, sig_width] =
-      GetParam();
+/// Sweep-sized experiment for one profile. Per-profile scale mirrors
+/// bench::BaseParams ratios: EBooks (long token sets) and Songs (the
+/// 1M-tuple dataset) blow up wall time at a uniform scale without adding
+/// coverage.
+ExperimentParams SweepParams(const std::string& profile) {
   ExperimentParams params;
-  // Per-profile scale mirrors bench::BaseParams ratios: EBooks (long token
-  // sets) and Songs (the 1M-tuple dataset) blow up wall time at a uniform
-  // scale without adding coverage.
   params.scale = 0.04;
   if (profile == "EBooks") params.scale = 0.012;
   if (profile == "Songs") params.scale = 0.002;
   params.w = 50;
   params.max_arrivals = 220;
-  Experiment experiment(ProfileByName(profile), params);
+  return params;
+}
+
+struct ReplayResult {
+  std::vector<std::pair<int64_t, int64_t>> emitted;  // in emission order
+  std::vector<MatchPair> final_set;                  // sorted snapshot
+  PruneStats stats;
+  ShedStats shed;
+};
+
+/// Streams the experiment's incomplete arrivals through a `kind` pipeline
+/// over `repo` under `config`. ProcessStream is the one operator entry point
+/// under test: the synchronous NextBatch/ProcessBatch loop when
+/// ingest_queue_depth == 0, the Scheduler's async ingest chain otherwise.
+ReplayResult Replay(const Experiment& experiment, PipelineKind kind,
+                    Repository* repo, const EngineConfig& config) {
+  std::unique_ptr<ErPipeline> pipeline =
+      MakePipeline(kind, repo, config, 2, experiment.cdds(), experiment.dds(),
+                   experiment.editing_rules());
+  StreamDriver driver({experiment.incomplete_a(), experiment.incomplete_b()});
+  ReplayResult result;
+  pipeline->ProcessStream(
+      &driver, static_cast<size_t>(experiment.params().max_arrivals),
+      static_cast<size_t>(config.batch_size), [&result](ArrivalOutcome&& out) {
+        for (const MatchPair& p : out.new_matches) {
+          result.emitted.emplace_back(p.rid_a, p.rid_b);
+        }
+      });
+  result.final_set = pipeline->results().ToVector();
+  result.stats = pipeline->cumulative_stats();
+  result.shed = *pipeline->shed_stats();
+  return result;
+}
+
+// Deliberately compares only the outcome counters: the sig_* observability
+// counters (sig_probes / sig_saturated / sig_rejects) legitimately vary
+// with signature_filter and sig_width — they count filter work, not
+// results — so they are excluded from the bit-identity contract.
+void ExpectSameReplay(const ReplayResult& got, const ReplayResult& want,
+                      const std::string& label) {
+  EXPECT_EQ(got.emitted, want.emitted) << label;
+  ASSERT_EQ(got.final_set.size(), want.final_set.size()) << label;
+  for (size_t i = 0; i < got.final_set.size(); ++i) {
+    EXPECT_EQ(got.final_set[i].rid_a, want.final_set[i].rid_a);
+    EXPECT_EQ(got.final_set[i].rid_b, want.final_set[i].rid_b);
+    EXPECT_DOUBLE_EQ(got.final_set[i].probability,
+                     want.final_set[i].probability);
+  }
+  const PruneStats& a = got.stats;
+  const PruneStats& b = want.stats;
+  EXPECT_EQ(a.total_pairs, b.total_pairs) << label;
+  EXPECT_EQ(a.topic_pruned, b.topic_pruned) << label;
+  EXPECT_EQ(a.sim_ub_pruned, b.sim_ub_pruned) << label;
+  EXPECT_EQ(a.prob_ub_pruned, b.prob_ub_pruned) << label;
+  EXPECT_EQ(a.instance_pruned, b.instance_pruned) << label;
+  EXPECT_EQ(a.refined, b.refined) << label;
+  EXPECT_EQ(a.matched, b.matched) << label;
+  // Degradation is required to be *visible*: outside the degrade policy
+  // under pressure, no pair may ever be recorded as deferred.
+  EXPECT_EQ(a.deferred, b.deferred) << label;
+}
+
+TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
+  const auto [profile, batch_size, refine_threads, queue_depth,
+              signature_filter, sched_threads, sig_width] = GetParam();
+  Experiment experiment(ProfileByName(profile), SweepParams(profile));
 
   // The TER-iDS engine covers grid candidates + the pruning cascade (and,
-  // in queue > 0 combos, the async ingest thread); the con+ER baseline
+  // in queue > 0 combos, the async kIngest chain); the con+ER baseline
   // covers linear candidates, the unpruned exact path, and a stateful
   // stream imputer whose OnArrival/OnEvict ordering the batched operator
   // must reproduce — its imputer mutates refinement-visible state, so its
   // pipeline must transparently stay synchronous at any queue depth.
   for (PipelineKind kind :
        {PipelineKind::kTerIds, PipelineKind::kConstraintEr}) {
-    auto replay = [&](int bs, int threads, int shards, int queue,
-                      int maintain, bool sigfilter, int sched, int width) {
-      std::unique_ptr<Repository> repo = experiment.BuildRepository();
-      EngineConfig config = experiment.MakeConfig();
-      config.batch_size = bs;
-      config.refine_threads = threads;
-      config.grid_shards = shards;
-      config.ingest_queue_depth = queue;
-      config.maintain_shards = maintain;
-      config.signature_filter = sigfilter;
-      config.sched_threads = sched;
-      config.sig_width = width;
-      std::unique_ptr<ErPipeline> pipeline =
-          MakePipeline(kind, repo.get(), config, 2, experiment.cdds(),
-                       experiment.dds(), experiment.editing_rules());
-      std::vector<Record> inc_a = DataGenerator::WithMissing(
-          experiment.dataset().source_a, params.xi, params.m, params.seed);
-      std::vector<Record> inc_b = DataGenerator::WithMissing(
-          experiment.dataset().source_b, params.xi, params.m,
-          params.seed + 1);
-      StreamDriver driver({inc_a, inc_b});
-      ReplayResult result;
-      // ProcessStream is the one operator entry point under test: the
-      // synchronous NextBatch/ProcessBatch loop when queue == 0, the async
-      // double-buffered ingest pipeline when queue > 0.
-      pipeline->ProcessStream(&driver,
-                              static_cast<size_t>(params.max_arrivals),
-                              static_cast<size_t>(bs),
-                              [&result](ArrivalOutcome&& out) {
-                                for (const MatchPair& p : out.new_matches) {
-                                  result.emitted.emplace_back(p.rid_a,
-                                                              p.rid_b);
-                                }
-                              });
-      result.final_set = pipeline->results().ToVector();
-      result.stats = pipeline->cumulative_stats();
-      return result;
-    };
-
-    // The oracle is the seed configuration: one-at-a-time, single shard,
-    // serial maintain, signature filter off (plain merges everywhere) at
-    // the seed's 64-bit width, legacy per-pool execution (no scheduler).
+    // The oracle is the synchronous sequential operator: one-at-a-time,
+    // no scheduler, signature filter off (plain merges everywhere) at the
+    // seed's 64-bit width.
+    EngineConfig config = experiment.MakeConfig();
+    config.signature_filter = false;
+    std::unique_ptr<Repository> oracle_repo = experiment.BuildRepository();
     const ReplayResult sequential =
-        replay(1, 1, 1, 0, /*maintain=*/1, /*sigfilter=*/false, /*sched=*/0,
-               /*width=*/64);
-    const ReplayResult batched =
-        replay(batch_size, refine_threads, grid_shards, queue_depth,
-               maintain_shards, signature_filter, sched_threads, sig_width);
-    EXPECT_EQ(batched.emitted, sequential.emitted)
-        << profile << " " << PipelineKindName(kind) << " batch=" << batch_size
-        << " threads=" << refine_threads << " shards=" << grid_shards
-        << " queue=" << queue_depth << " maintain=" << maintain_shards
-        << " sigfilter=" << signature_filter << " sched=" << sched_threads
-        << " width=" << sig_width;
-    ASSERT_EQ(batched.final_set.size(), sequential.final_set.size());
-    for (size_t i = 0; i < batched.final_set.size(); ++i) {
-      EXPECT_EQ(batched.final_set[i].rid_a, sequential.final_set[i].rid_a);
-      EXPECT_EQ(batched.final_set[i].rid_b, sequential.final_set[i].rid_b);
-      EXPECT_DOUBLE_EQ(batched.final_set[i].probability,
-                       sequential.final_set[i].probability);
-    }
-    ExpectSameStats(batched.stats, sequential.stats);
+        Replay(experiment, kind, oracle_repo.get(), config);
+
+    config.batch_size = batch_size;
+    config.refine_threads = refine_threads;
+    config.ingest_queue_depth = queue_depth;
+    config.signature_filter = signature_filter;
+    config.sched_threads = sched_threads;
+    config.sig_width = sig_width;
+    std::unique_ptr<Repository> repo = experiment.BuildRepository();
+    ExpectSameReplay(Replay(experiment, kind, repo.get(), config), sequential,
+                     profile + " " + PipelineKindName(kind));
   }
 }
 
@@ -220,13 +214,7 @@ class RepoBackendEquivalenceTest
 
 TEST_P(RepoBackendEquivalenceTest, MmapSnapshotEqualsInMemoryOracle) {
   const std::string profile = GetParam();
-  ExperimentParams params;
-  params.scale = 0.04;
-  if (profile == "EBooks") params.scale = 0.012;
-  if (profile == "Songs") params.scale = 0.002;
-  params.w = 50;
-  params.max_arrivals = 220;
-  Experiment experiment(ProfileByName(profile), params);
+  Experiment experiment(ProfileByName(profile), SweepParams(profile));
 
   for (PipelineKind kind :
        {PipelineKind::kTerIds, PipelineKind::kConstraintEr}) {
@@ -237,46 +225,16 @@ TEST_P(RepoBackendEquivalenceTest, MmapSnapshotEqualsInMemoryOracle) {
       EngineConfig config = experiment.MakeConfig();
       config.repo_backend = backend;
       config.snapshot_decode = decode;
-      std::unique_ptr<ErPipeline> pipeline =
-          MakePipeline(kind, repo.get(), config, 2, experiment.cdds(),
-                       experiment.dds(), experiment.editing_rules());
-      std::vector<Record> inc_a = DataGenerator::WithMissing(
-          experiment.dataset().source_a, params.xi, params.m, params.seed);
-      std::vector<Record> inc_b = DataGenerator::WithMissing(
-          experiment.dataset().source_b, params.xi, params.m,
-          params.seed + 1);
-      StreamDriver driver({inc_a, inc_b});
-      ReplayResult result;
-      pipeline->ProcessStream(&driver,
-                              static_cast<size_t>(params.max_arrivals),
-                              /*batch_size=*/1,
-                              [&result](ArrivalOutcome&& out) {
-                                for (const MatchPair& p : out.new_matches) {
-                                  result.emitted.emplace_back(p.rid_a,
-                                                              p.rid_b);
-                                }
-                              });
-      result.final_set = pipeline->results().ToVector();
-      result.stats = pipeline->cumulative_stats();
-      return result;
+      return Replay(experiment, kind, repo.get(), config);
     };
 
     const ReplayResult memory =
         replay(RepoBackend::kInMemory, SnapshotDecode::kEager);
     for (SnapshotDecode decode :
          {SnapshotDecode::kEager, SnapshotDecode::kLazy}) {
-      const ReplayResult mmap = replay(RepoBackend::kMmapSnapshot, decode);
-      EXPECT_EQ(mmap.emitted, memory.emitted)
-          << profile << " " << PipelineKindName(kind) << " decode="
-          << SnapshotDecodeName(decode);
-      ASSERT_EQ(mmap.final_set.size(), memory.final_set.size());
-      for (size_t i = 0; i < mmap.final_set.size(); ++i) {
-        EXPECT_EQ(mmap.final_set[i].rid_a, memory.final_set[i].rid_a);
-        EXPECT_EQ(mmap.final_set[i].rid_b, memory.final_set[i].rid_b);
-        EXPECT_DOUBLE_EQ(mmap.final_set[i].probability,
-                         memory.final_set[i].probability);
-      }
-      ExpectSameStats(mmap.stats, memory.stats);
+      ExpectSameReplay(replay(RepoBackend::kMmapSnapshot, decode), memory,
+                       profile + " " + PipelineKindName(kind) + " decode=" +
+                           SnapshotDecodeName(decode));
     }
   }
 }
@@ -291,8 +249,8 @@ INSTANTIATE_TEST_SUITE_P(AllProfiles, RepoBackendEquivalenceTest,
 
 // The admission-control layer (DESIGN.md §13) must be invisible whenever it
 // is allowed to be: overload_policy=block is the backpressure oracle and
-// must be bit-identical to the sequential run on every profile, on both the
-// ingest-thread path (sched=0) and the scheduler's kIngest chain (sched=4).
+// must be bit-identical to the sequential run on every profile, on the
+// scheduler's kIngest chain.
 // The shedding/degrading policies must be bit-identical whenever the
 // pressure signal never fires — enforced here with a queue deep enough
 // that the replay's batch count can never fill it.
@@ -305,79 +263,35 @@ class OverloadPolicyEquivalenceTest
 
 TEST_P(OverloadPolicyEquivalenceTest, PolicyInertWithoutPressure) {
   const auto [profile, policy, queue_depth, sched_threads] = GetParam();
-  ExperimentParams params;
-  params.scale = 0.04;
-  if (profile == "EBooks") params.scale = 0.012;
-  if (profile == "Songs") params.scale = 0.002;
-  params.w = 50;
-  params.max_arrivals = 220;
-  Experiment experiment(ProfileByName(profile), params);
+  Experiment experiment(ProfileByName(profile), SweepParams(profile));
 
-  auto replay = [&](OverloadPolicy pol, int queue, int sched) {
-    std::unique_ptr<Repository> repo = experiment.BuildRepository();
-    EngineConfig config = experiment.MakeConfig();
-    config.batch_size = 8;
-    config.refine_threads = queue > 0 ? 4 : 1;
-    config.ingest_queue_depth = queue;
-    config.sched_threads = sched;
-    config.overload_policy = pol;
-    std::unique_ptr<ErPipeline> pipeline =
-        MakePipeline(PipelineKind::kTerIds, repo.get(), config, 2,
-                     experiment.cdds(), experiment.dds(),
-                     experiment.editing_rules());
-    std::vector<Record> inc_a = DataGenerator::WithMissing(
-        experiment.dataset().source_a, params.xi, params.m, params.seed);
-    std::vector<Record> inc_b = DataGenerator::WithMissing(
-        experiment.dataset().source_b, params.xi, params.m, params.seed + 1);
-    StreamDriver driver({inc_a, inc_b});
-    ReplayResult result;
-    pipeline->ProcessStream(&driver,
-                            static_cast<size_t>(params.max_arrivals),
-                            /*batch_size=*/8,
-                            [&result](ArrivalOutcome&& out) {
-                              for (const MatchPair& p : out.new_matches) {
-                                result.emitted.emplace_back(p.rid_a,
-                                                            p.rid_b);
-                              }
-                            });
-    result.final_set = pipeline->results().ToVector();
-    result.stats = pipeline->cumulative_stats();
-    if (pol != OverloadPolicy::kBlock) {
-      // No pressure, no shedding: the accounting must agree.
-      const ShedStats* shed = pipeline->shed_stats();
-      EXPECT_NE(shed, nullptr);
-      if (shed != nullptr) {
-        EXPECT_EQ(shed->shed_arrivals, 0);
-        EXPECT_EQ(shed->degraded_arrivals, 0);
-        EXPECT_EQ(shed->pressure_events, 0);
-      }
-    }
-    return result;
-  };
-
+  EngineConfig config = experiment.MakeConfig();
+  config.batch_size = 8;
+  std::unique_ptr<Repository> oracle_repo = experiment.BuildRepository();
   const ReplayResult sequential =
-      replay(OverloadPolicy::kBlock, /*queue=*/0, /*sched=*/0);
-  const ReplayResult policy_run = replay(policy, queue_depth, sched_threads);
-  EXPECT_EQ(policy_run.emitted, sequential.emitted)
-      << profile << " policy=" << OverloadPolicyName(policy)
-      << " queue=" << queue_depth << " sched=" << sched_threads;
-  ASSERT_EQ(policy_run.final_set.size(), sequential.final_set.size());
-  for (size_t i = 0; i < policy_run.final_set.size(); ++i) {
-    EXPECT_EQ(policy_run.final_set[i].rid_a, sequential.final_set[i].rid_a);
-    EXPECT_EQ(policy_run.final_set[i].rid_b, sequential.final_set[i].rid_b);
-    EXPECT_DOUBLE_EQ(policy_run.final_set[i].probability,
-                     sequential.final_set[i].probability);
-  }
-  ExpectSameStats(policy_run.stats, sequential.stats);
+      Replay(experiment, PipelineKind::kTerIds, oracle_repo.get(), config);
+
+  config.refine_threads = 4;
+  config.ingest_queue_depth = queue_depth;
+  config.sched_threads = sched_threads;
+  config.overload_policy = policy;
+  std::unique_ptr<Repository> repo = experiment.BuildRepository();
+  const ReplayResult policy_run =
+      Replay(experiment, PipelineKind::kTerIds, repo.get(), config);
+  // No pressure, no shedding: the accounting must agree.
+  EXPECT_EQ(policy_run.shed.shed_arrivals, 0);
+  EXPECT_EQ(policy_run.shed.degraded_arrivals, 0);
+  EXPECT_EQ(policy_run.shed.pressure_events, 0);
+  ExpectSameReplay(policy_run, sequential,
+                   profile + " policy=" + OverloadPolicyName(policy));
 }
 
 std::vector<OverloadCombo> OverloadCombos() {
   std::vector<OverloadCombo> combos;
   // block is the oracle under real backpressure (shallow queue): every
-  // profile, both async execution paths.
+  // profile.
   for (const char* profile :
        {"Citations", "Anime", "Bikes", "EBooks", "Songs"}) {
-    combos.emplace_back(profile, OverloadPolicy::kBlock, 2, 0);
     combos.emplace_back(profile, OverloadPolicy::kBlock, 2, 4);
   }
   // Non-block policies with a queue the replay cannot fill: the pressure
@@ -385,7 +299,7 @@ std::vector<OverloadCombo> OverloadCombos() {
   for (OverloadPolicy policy :
        {OverloadPolicy::kShedNewest, OverloadPolicy::kShedOldest,
         OverloadPolicy::kDegrade}) {
-    combos.emplace_back("Citations", policy, 64, 0);
+    combos.emplace_back("Citations", policy, 64, 2);
   }
   return combos;
 }
@@ -405,69 +319,48 @@ std::vector<BatchCombo> BatchCombos() {
   std::vector<BatchCombo> combos;
   for (const char* profile :
        {"Citations", "Anime", "Bikes", "EBooks", "Songs"}) {
-    // The PR-2 batch x threads matrix (shards 1, synchronous, signature
-    // filter on — every profile exercises the signature kernel against the
-    // sigfilter-off oracle)...
-    for (const auto& [batch, threads] :
-         std::vector<std::pair<int, int>>{{1, 4}, {8, 1}, {8, 4}}) {
-      combos.emplace_back(profile, batch, threads, 1, 0, 1, true, 0, 64);
-    }
-    // ...plus the everything-on configuration per profile, once on the
-    // legacy per-subsystem pools and once on the unified scheduler: sharded
-    // grid + async ingest + parallel refinement + parallel maintain +
-    // signature filter (the TSan job's main data-race surface). The two
-    // runs split the wide-signature coverage between them: every profile
-    // replays everything-on at both 128 and 256 bits against the 64-bit
-    // sigfilter-off oracle.
-    combos.emplace_back(profile, 8, 4, 4, 2, 4, true, 0, 128);
-    combos.emplace_back(profile, 8, 4, 4, 2, 4, true, 4, 256);
+    // The batch x threads matrix (synchronous ingest, signature filter on —
+    // every profile exercises the signature kernel against the
+    // sigfilter-off oracle); parallel refinement fans out on 3 workers.
+    combos.emplace_back(profile, 1, 4, 0, true, 3, 64);
+    combos.emplace_back(profile, 8, 1, 0, true, 0, 64);
+    combos.emplace_back(profile, 8, 4, 0, true, 3, 64);
+    // ...plus the everything-on configuration per profile: async kIngest
+    // chain + parallel refinement + signature filter (the TSan job's main
+    // data-race surface), once on a single worker and once on four. The
+    // two runs split the wide-signature coverage between them: every
+    // profile replays everything-on at both 128 and 256 bits against the
+    // 64-bit sigfilter-off oracle.
+    combos.emplace_back(profile, 8, 4, 2, true, 1, 128);
+    combos.emplace_back(profile, 8, 4, 2, true, 4, 256);
   }
-  // Full shards x queue x threads cross on one profile (the acceptance
-  // matrix): isolates each new axis against the sequential oracle.
-  combos.emplace_back("Citations", 8, 1, 4, 0, 1, true, 0, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 0, 1, true, 0, 64);
-  combos.emplace_back("Citations", 8, 1, 1, 2, 1, true, 0, 64);
-  combos.emplace_back("Citations", 8, 4, 1, 2, 1, true, 0, 64);
-  combos.emplace_back("Citations", 8, 1, 4, 2, 1, true, 0, 64);
-  // async, batch 1
-  combos.emplace_back("Citations", 1, 1, 4, 2, 1, true, 0, 64);
-  // Maintain-shard and signature-filter axes in isolation: parallel
-  // maintain with everything else sequential, the sig filter both ways,
-  // and parallel maintain under async ingest (maintain fan-out runs on the
-  // ingest thread there).
-  combos.emplace_back("Citations", 1, 1, 4, 0, 4, false, 0, 64);
-  combos.emplace_back("Citations", 1, 1, 4, 0, 4, true, 0, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 0, 4, false, 0, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 2, 4, false, 0, 64);
-  combos.emplace_back("Bikes", 8, 4, 4, 2, 4, false, 0, 64);
-  // Unified-scheduler axes in isolation (Citations): scheduler constructed
-  // but no phase fans out; each phase fanning out alone on the shared
-  // workers (refine / candidate probe / maintain / the kIngest chain); the
-  // single-worker and two-worker edges of the caller-participation
-  // discipline under the everything-on load; and sigfilter-off + scheduler
-  // against the sigfilter-off oracle.
-  combos.emplace_back("Citations", 1, 1, 1, 0, 1, true, 4, 64);
-  combos.emplace_back("Citations", 8, 4, 1, 0, 1, true, 4, 64);
-  combos.emplace_back("Citations", 1, 1, 4, 0, 1, true, 4, 64);
-  combos.emplace_back("Citations", 1, 1, 4, 0, 4, true, 4, 64);
-  combos.emplace_back("Citations", 8, 1, 1, 2, 1, true, 4, 64);
+  // Scheduler axes in isolation (Citations): scheduler constructed but no
+  // phase fans out; refinement fanning out alone; the kIngest chain alone
+  // (batch 8 and batch 1); the two-worker edge of the caller-participation
+  // discipline under the everything-on load; and sigfilter-off against the
+  // sigfilter-off oracle, synchronous and async.
+  combos.emplace_back("Citations", 1, 1, 0, true, 4, 64);
+  combos.emplace_back("Citations", 8, 4, 0, true, 4, 64);
+  combos.emplace_back("Citations", 8, 1, 2, true, 4, 64);
   // chain, batch 1
-  combos.emplace_back("Citations", 1, 1, 4, 2, 1, true, 4, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 2, 4, true, 1, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 2, 4, true, 2, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 2, 4, false, 4, 64);
-  combos.emplace_back("Bikes", 8, 4, 4, 2, 4, false, 4, 64);
-  // sig_width axis in isolation (Citations, everything else sequential):
-  // wide signatures + filter against the 64-bit sigfilter-off oracle, plus
-  // a sigfilter-off run at 256 bits (widths must be inert with the filter
-  // off). The parallel-refinement combos additionally route the wide
-  // widths through the executor's batched prefilter.
-  combos.emplace_back("Citations", 1, 1, 1, 0, 1, true, 0, 128);
-  combos.emplace_back("Citations", 1, 1, 1, 0, 1, true, 0, 256);
-  combos.emplace_back("Citations", 1, 1, 1, 0, 1, false, 0, 256);
-  combos.emplace_back("Citations", 1, 4, 1, 0, 1, true, 0, 256);
-  combos.emplace_back("Citations", 8, 4, 1, 0, 1, true, 0, 128);
-  combos.emplace_back("EBooks", 8, 4, 1, 0, 1, true, 0, 256);
+  combos.emplace_back("Citations", 1, 1, 2, true, 4, 64);
+  combos.emplace_back("Citations", 8, 4, 2, true, 2, 64);
+  combos.emplace_back("Citations", 8, 4, 0, false, 3, 64);
+  combos.emplace_back("Citations", 8, 4, 2, false, 4, 64);
+  combos.emplace_back("Bikes", 8, 4, 2, false, 4, 64);
+  // Signature filter and sig_width in isolation (Citations, everything
+  // else sequential): the filter at 64 bits, wide signatures + filter
+  // against the 64-bit sigfilter-off oracle, plus a sigfilter-off run at
+  // 256 bits (widths must be inert with the filter off). The
+  // parallel-refinement combos additionally route the wide widths through
+  // the executor's batched prefilter.
+  combos.emplace_back("Citations", 1, 1, 0, true, 0, 64);
+  combos.emplace_back("Citations", 1, 1, 0, true, 0, 128);
+  combos.emplace_back("Citations", 1, 1, 0, true, 0, 256);
+  combos.emplace_back("Citations", 1, 1, 0, false, 0, 256);
+  combos.emplace_back("Citations", 1, 4, 0, true, 2, 256);
+  combos.emplace_back("Citations", 8, 4, 0, true, 2, 128);
+  combos.emplace_back("EBooks", 8, 4, 0, true, 3, 256);
   return combos;
 }
 
@@ -478,18 +371,14 @@ INSTANTIATE_TEST_SUITE_P(AllProfiles, BatchEquivalenceSweepTest,
                                   std::to_string(std::get<1>(info.param)) +
                                   "_t" +
                                   std::to_string(std::get<2>(info.param)) +
-                                  "_s" +
-                                  std::to_string(std::get<3>(info.param)) +
                                   "_q" +
-                                  std::to_string(std::get<4>(info.param)) +
-                                  "_m" +
-                                  std::to_string(std::get<5>(info.param)) +
-                                  (std::get<6>(info.param) ? "_sig1"
+                                  std::to_string(std::get<3>(info.param)) +
+                                  (std::get<4>(info.param) ? "_sig1"
                                                            : "_sig0") +
                                   "_c" +
-                                  std::to_string(std::get<7>(info.param)) +
+                                  std::to_string(std::get<5>(info.param)) +
                                   "_w" +
-                                  std::to_string(std::get<8>(info.param));
+                                  std::to_string(std::get<6>(info.param));
                          });
 
 }  // namespace

@@ -125,8 +125,8 @@ TEST(MutexDeathTest, EqualRankAcquisitionAborts) {
   // is what makes the global order acyclic.
   EXPECT_DEATH(
       {
-        Mutex a(lock_rank::kThreadPool);
-        Mutex b(lock_rank::kThreadPool);
+        Mutex a(lock_rank::kScheduler);
+        Mutex b(lock_rank::kScheduler);
         MutexLock l1(&a);
         MutexLock l2(&b);
       },

@@ -264,7 +264,11 @@ class OverloadPressureTest : public ::testing::Test {
 
   // Replays the stream with a deliberately slow consumer (the sink sleeps),
   // so the depth-1 ingest queue is full nearly every time the producer
-  // checks pressure. sleep_us = 0 gives the unpressured reference run.
+  // checks pressure. The pressured runs sleep 2 ms per arrival: the
+  // producer must ingest a batch faster than the consumer emits one, and
+  // under ThreadSanitizer a 4-arrival ingest can exceed 4 x 0.4 ms. Two
+  // workers keep the kIngest chain runnable while the consumer's refine
+  // fan-out occupies one. sleep_us = 0 gives the unpressured reference run.
   static PressureRun Replay(OverloadPolicy policy, int sleep_us) {
     const ExperimentParams& params = experiment_->params();
     std::unique_ptr<Repository> repo = experiment_->BuildRepository();
@@ -272,6 +276,7 @@ class OverloadPressureTest : public ::testing::Test {
     config.batch_size = 4;
     config.refine_threads = 2;
     config.ingest_queue_depth = 1;
+    config.sched_threads = 2;
     config.overload_policy = policy;
     std::unique_ptr<ErPipeline> pipeline =
         MakePipeline(PipelineKind::kTerIds, repo.get(), config, 2,
@@ -308,7 +313,7 @@ class OverloadPressureTest : public ::testing::Test {
 Experiment* OverloadPressureTest::experiment_ = nullptr;
 
 TEST_F(OverloadPressureTest, ShedNewestAccountingBalances) {
-  const PressureRun run = Replay(OverloadPolicy::kShedNewest, 400);
+  const PressureRun run = Replay(OverloadPolicy::kShedNewest, 2000);
   ASSERT_GT(run.shed.pressure_events, 0) << "slow consumer never filled "
                                             "the depth-1 queue";
   EXPECT_GT(run.shed.shed_arrivals, 0);
@@ -329,7 +334,7 @@ TEST_F(OverloadPressureTest, ShedNewestAccountingBalances) {
 }
 
 TEST_F(OverloadPressureTest, ShedOldestEmitsShedOutcomesAndKeepsWindow) {
-  const PressureRun run = Replay(OverloadPolicy::kShedOldest, 400);
+  const PressureRun run = Replay(OverloadPolicy::kShedOldest, 2000);
   ASSERT_GT(run.shed.pressure_events, 0);
   EXPECT_GT(run.shed.shed_arrivals, 0);
   // Everything is admitted (ingest always runs); shedding happens in-queue,
@@ -344,7 +349,7 @@ TEST_F(OverloadPressureTest, ShedOldestEmitsShedOutcomesAndKeepsWindow) {
 }
 
 TEST_F(OverloadPressureTest, DegradeAdmitsEverythingAndDefersVisibly) {
-  const PressureRun degraded = Replay(OverloadPolicy::kDegrade, 400);
+  const PressureRun degraded = Replay(OverloadPolicy::kDegrade, 2000);
   const PressureRun reference = Replay(OverloadPolicy::kBlock, 0);
   ASSERT_GT(degraded.shed.pressure_events, 0);
   EXPECT_GT(degraded.shed.degraded_arrivals, 0);
@@ -371,7 +376,7 @@ TEST_F(OverloadPressureTest, DegradeAdmitsEverythingAndDefersVisibly) {
 }
 
 TEST_F(OverloadPressureTest, BlockShedsNothingUnderTheSamePressure) {
-  const PressureRun run = Replay(OverloadPolicy::kBlock, 400);
+  const PressureRun run = Replay(OverloadPolicy::kBlock, 2000);
   const PressureRun reference = Replay(OverloadPolicy::kBlock, 0);
   // The oracle policy: pressure manifests as producer blocking only —
   // accounting shows zero shedding and output is the unpressured output.

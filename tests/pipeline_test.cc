@@ -182,6 +182,28 @@ TEST_F(PipelineIntegrationTest, DynamicRepositoryAbsorption) {
   SUCCEED();
 }
 
+/// Async ingest runs only as the Scheduler's kIngest chain: asking for an
+/// ingest queue without scheduler workers is a configuration error caught
+/// at construction, not a silent fallback to synchronous ingest.
+using PipelineConfigDeathTest = PipelineIntegrationTest;
+
+TEST_F(PipelineConfigDeathTest, AsyncIngestWithoutSchedulerAborts) {
+  std::unique_ptr<Repository> repo = experiment_.BuildRepository();
+  EngineConfig config = experiment_.MakeConfig();
+  config.ingest_queue_depth = 2;
+  config.sched_threads = 0;
+  EXPECT_DEATH(MakePipeline(PipelineKind::kTerIds, repo.get(), config, 2,
+                            experiment_.cdds(), experiment_.dds(),
+                            experiment_.editing_rules()),
+               "ingest_queue_depth == 0 \\|\\| config_.sched_threads >= 1");
+  // One worker is enough.
+  config.sched_threads = 1;
+  EXPECT_NE(MakePipeline(PipelineKind::kTerIds, repo.get(), config, 2,
+                         experiment_.cdds(), experiment_.dds(),
+                         experiment_.editing_rules()),
+            nullptr);
+}
+
 TEST(MetricsTest, FScoreMath) {
   std::vector<MatchPair> returned = {{1, 10, 0.9}, {2, 11, 0.8}, {3, 12, 0.7}};
   std::vector<GroundTruthPair> truth = {{1, 10}, {2, 11}, {4, 13}, {5, 14}};
