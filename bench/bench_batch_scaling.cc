@@ -28,7 +28,7 @@ int main() {
   JsonReporter reporter("batch_scaling");
   // Signature and storage knobs ride along from the environment; the sweep
   // axes are batch x threads on synchronous ingest.
-  const ExecKnobs env_knobs = EnvExecKnobs();
+  const ExecKnobs env_knobs = BenchExecKnobs();
   const std::vector<std::pair<int, int>> grid = {
       {1, 1}, {8, 1}, {1, 4}, {8, 4}};
   const std::vector<PipelineKind> kinds = {PipelineKind::kTerIds,

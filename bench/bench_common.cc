@@ -137,6 +137,11 @@ ExecKnobs EnvExecKnobs() {
   return knobs;
 }
 
+const ExecKnobs& BenchExecKnobs() {
+  static const ExecKnobs knobs = EnvExecKnobs();
+  return knobs;
+}
+
 ExperimentParams BaseParams(const std::string& dataset) {
   ExperimentParams params;
   // Per-dataset size scale: preserves the relative ordering of Table 4
@@ -149,7 +154,7 @@ ExperimentParams BaseParams(const std::string& dataset) {
   params.w = static_cast<int>(200 * EnvScale());  // paper default w = 1000
   if (params.w < 40) params.w = 40;
   params.max_arrivals = 4 * params.w;
-  const ExecKnobs knobs = EnvExecKnobs();
+  const ExecKnobs& knobs = BenchExecKnobs();
   params.batch_size = knobs.batch_size;
   params.refine_threads = knobs.refine_threads;
   params.ingest_queue_depth = knobs.ingest_queue_depth;

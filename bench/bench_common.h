@@ -54,7 +54,13 @@ struct ExecKnobs {
   SnapshotDecode snapshot_decode = SnapshotDecode::kLazy;
   OverloadPolicy overload_policy = OverloadPolicy::kBlock;
 };
+/// Parses the knobs from the environment; a rejected value is reported on
+/// stderr and replaced by its default.
 ExecKnobs EnvExecKnobs();
+/// This process's knobs: EnvExecKnobs() parsed once, on first use, so a
+/// rejected value's note prints once per run however many datasets a bench
+/// sets up.
+const ExecKnobs& BenchExecKnobs();
 
 /// Baseline parameters for one dataset: Table 5 defaults with sizes scaled
 /// so the full suite finishes on one core (see EXPERIMENTS.md §Scaling).

@@ -53,7 +53,7 @@ bool SameOutput(const PruneStats& a, const PruneStats& b) {
 
 int main() {
   JsonReporter reporter("scheduler");
-  const ExecKnobs env_knobs = EnvExecKnobs();
+  const ExecKnobs env_knobs = BenchExecKnobs();
   const std::string dataset = "Citations";
   ExperimentParams params = BaseParams(dataset);
   // Micro-batches with parallel refinement on every row; the sweep

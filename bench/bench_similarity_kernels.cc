@@ -71,7 +71,7 @@ int WidthOffset(int bits) { return WidthSlot(bits) * kMaxSigWords; }
 
 int main() {
   JsonReporter reporter("similarity_kernels");
-  const ExecKnobs env_knobs = EnvExecKnobs();
+  const ExecKnobs env_knobs = BenchExecKnobs();
 
   // --- Section 1: intersection algorithm throughput -----------------------
   std::printf("==== similarity_kernels: merge vs gallop vs signature ====\n");

@@ -1,7 +1,5 @@
 #include "core/terids_engine.h"
 
-#include <unordered_map>
-
 #include "imputation/rule_based_imputer.h"
 #include "rules/rule_miner.h"
 #include "util/stopwatch.h"
@@ -56,18 +54,16 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
   // distance at most once per arrival, no matter how many selected rules
   // constrain that attribute — this memo is the "simultaneous traversal"
   // payoff of Section 5.3 that the unindexed baselines do not get.
-  std::unordered_map<uint64_t, double> dist_memo;
+  const int d = repo_->num_attributes();
+  dist_memo_.Clear(repo_->num_samples() * static_cast<size_t>(d));
   auto probe_sample_dist = [&](int attr, size_t sample_idx) {
-    const uint64_t key = (static_cast<uint64_t>(sample_idx) << 5) |
-                         static_cast<uint64_t>(attr);
-    auto it = dist_memo.find(key);
-    if (it != dist_memo.end()) {
-      return it->second;
+    const size_t slot = sample_idx * static_cast<size_t>(d) + attr;
+    if (!dist_memo_.IsSet(slot)) {
+      dist_memo_.Slot(slot) = JaccardDistance(
+          r.values[attr].tokens,
+          repo_->sample(sample_idx).values[attr].tokens);
     }
-    const double dist = JaccardDistance(
-        r.values[attr].tokens, repo_->sample(sample_idx).values[attr].tokens);
-    dist_memo.emplace(key, dist);
-    return dist;
+    return dist_memo_.Get(slot);
   };
   auto determinants_satisfied = [&](const CddRule& rule, size_t sample_idx) {
     for (const auto& [attr, constraint] : rule.determinants) {
@@ -100,11 +96,10 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
     // precomputed neighbor lists. This is the "simultaneous traversal" of
     // Section 5.3: each distance is computed once per arrival (probe-side)
     // or once per engine lifetime (domain-side), not once per rule.
-    std::unordered_map<ValueId, double> freq;
+    counts_.Reset(repo_->domain_size(j));
     {
       ScopedTimer timer(cost ? &cost->impute_seconds : nullptr);
       // Union bands per attribute.
-      const int d = repo_->num_attributes();
       std::vector<AttrBand> union_bands(d);
       std::vector<bool> all_rules_constrain(d, !selected.empty());
       std::vector<std::vector<Interval>> unions(d);
@@ -141,13 +136,13 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
             // sample value's distance-sorted neighbor list.
             neighborhoods_.AccumulateRange(
                 j, repo_->sample_value_id(sample_idx, j), rule.dep_interval,
-                &freq);
+                &counts_);
           }
         }
       }
     }
     std::vector<ImputedTuple::Candidate> cands =
-        FinalizeCandidates(freq, config_.max_candidates_per_attr);
+        counts_.Finalize(config_.max_candidates_per_attr);
     if (!cands.empty()) {
       ImputedTuple::ImputedAttr ia;
       ia.attr = j;
@@ -159,21 +154,30 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
 }
 
 Status TerIdsEngine::AbsorbRepositoryBatch(const std::vector<Record>& batch) {
+  RuleMiner miner(repo_, MinerOptions{});
+  Status status = Status::Ok();
+  bool widened = false;
   for (const Record& record : batch) {
     const size_t sample_idx = repo_->num_samples();
-    TERIDS_RETURN_IF_ERROR(repo_->AddSample(record));
+    status = repo_->AddSample(record);
+    if (!status.ok()) {
+      break;
+    }
     dr_index_.InsertSample(sample_idx);
-    // New domain values invalidate the cached value neighborhoods.
-    neighborhoods_.Invalidate();
-    // Widen rules the new sample violates; rebuild index entries of the
-    // widened rules (dependent interval is a leaf aggregate).
-    RuleMiner miner(repo_, MinerOptions{});
-    const int widened = miner.AbsorbNewSample(sample_idx, &rules_);
-    if (widened > 0) {
-      cdd_index_.Build();  // Aggregates changed; rebuild the lattice trees.
+    // Widen rules the new sample violates. Samples are absorbed one at a
+    // time, so each sees the batch samples before it but not after it.
+    if (miner.AbsorbNewSample(sample_idx, &rules_) > 0) {
+      widened = true;
     }
   }
-  return Status::Ok();
+  // Whatever was added before a failure is in R: bring the derived
+  // structures up to date with it either way.
+  if (widened) {
+    cdd_index_.Build();  // Leaf aggregates changed; rebuild the lattice trees.
+  }
+  neighborhoods_.Refresh(
+      ValueNeighborhoods::MaxRadiusPerAttr(rules_, repo_->num_attributes()));
+  return status;
 }
 
 }  // namespace terids

@@ -8,6 +8,7 @@
 #include "index/cdd_index.h"
 #include "index/dr_index.h"
 #include "rules/rule.h"
+#include "util/epoch_array.h"
 
 namespace terids {
 
@@ -33,9 +34,11 @@ class TerIdsEngine : public PipelineBase {
                std::vector<CddRule> rules);
 
   /// Dynamic repository maintenance (Section 5.5): adds a batch of new
-  /// complete tuples to R, extends the DR-index incrementally, widens or
-  /// adds CDD rules via the miner's absorb step, and refreshes the
-  /// CDD-index entries of changed rules.
+  /// complete tuples to R, extends the DR-index incrementally, and widens
+  /// CDD rules via the miner's absorb step. Once per batch it then rebuilds
+  /// the CDD-index if any rule widened and refreshes the value
+  /// neighbourhoods (new domain values inserted, lists of an attribute whose
+  /// radius changed dropped).
   Status AbsorbRepositoryBatch(const std::vector<Record>& batch);
 
   const CddIndex& cdd_index() const { return cdd_index_; }
@@ -55,6 +58,9 @@ class TerIdsEngine : public PipelineBase {
   CddIndex cdd_index_;
   DrIndex dr_index_;
   ValueNeighborhoods neighborhoods_;
+  CandidateCounts counts_;
+  /// Per-arrival probe-sample distances, slot sample_idx * d + attr.
+  EpochArray<double> dist_memo_;
 };
 
 }  // namespace terids

@@ -1,6 +1,6 @@
 #include "imputation/rule_based_imputer.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/stopwatch.h"
 
@@ -26,7 +26,7 @@ const std::vector<int>& RuleBasedImputer::RulesForDependent(int attr) const {
 
 void AccumulateCandidates(const Repository& repo, const CddRule& rule,
                           size_t sample_idx, bool use_coord_filter,
-                          std::unordered_map<ValueId, double>* freq) {
+                          CandidateCounts* counts) {
   const int j = rule.dependent;
   const ValueId svid = repo.sample_value_id(sample_idx, j);
   const TokenSet& s_tokens = repo.value_tokens(j, svid);
@@ -42,7 +42,7 @@ void AccumulateCandidates(const Repository& repo, const CddRule& rule,
     for (ValueId val : repo.ValuesInCoordRange(j, band)) {
       const double dist = JaccardDistance(s_tokens, repo.value_tokens(j, val));
       if (dep.Contains(dist)) {
-        (*freq)[val] += 1.0;
+        counts->Add(val);
       }
     }
   } else {
@@ -50,52 +50,10 @@ void AccumulateCandidates(const Repository& repo, const CddRule& rule,
     for (ValueId val = 0; val < dom_size; ++val) {
       const double dist = JaccardDistance(s_tokens, repo.value_tokens(j, val));
       if (dep.Contains(dist)) {
-        (*freq)[val] += 1.0;
+        counts->Add(val);
       }
     }
   }
-}
-
-std::vector<ImputedTuple::Candidate> FinalizeCandidates(
-    const std::unordered_map<ValueId, double>& freq, int max_candidates) {
-  std::vector<ImputedTuple::Candidate> out;
-  if (freq.empty()) {
-    return out;
-  }
-  double total = 0.0;
-  for (const auto& [vid, f] : freq) {
-    (void)vid;
-    total += f;
-  }
-  out.reserve(freq.size());
-  for (const auto& [vid, f] : freq) {
-    out.push_back({vid, f / total});
-  }
-  // Deterministic order: probability descending, ValueId ascending. The
-  // vid tie-break makes the cap cut identical regardless of accumulation
-  // order, so indexed and linear imputation produce byte-identical tuples.
-  std::sort(out.begin(), out.end(),
-            [](const ImputedTuple::Candidate& a,
-               const ImputedTuple::Candidate& b) {
-              return a.prob != b.prob ? a.prob > b.prob : a.vid < b.vid;
-            });
-  if (static_cast<int>(out.size()) > max_candidates) {
-    // Keep the top candidates and renormalize over the retained set: the
-    // truncated distribution becomes the imputation model. Without this,
-    // capping strands probability mass and a correctly-imputed pair whose
-    // candidates split the vote can never clear the alpha threshold.
-    out.resize(max_candidates);
-    double kept = 0.0;
-    for (const ImputedTuple::Candidate& c : out) {
-      kept += c.prob;
-    }
-    if (kept > 0.0) {
-      for (ImputedTuple::Candidate& c : out) {
-        c.prob /= kept;
-      }
-    }
-  }
-  return out;
 }
 
 std::vector<ImputedTuple::ImputedAttr> RuleBasedImputer::ImputeRecord(
@@ -114,20 +72,20 @@ std::vector<ImputedTuple::ImputedAttr> RuleBasedImputer::ImputeRecord(
     }
     // Imputation phase: retrieve satisfying samples and accumulate the
     // multi-rule frequency distribution of Equation (4).
-    std::unordered_map<ValueId, double> freq;
+    counts_.Reset(repo_->domain_size(j));
     {
       ScopedTimer timer(cost ? &cost->impute_seconds : nullptr);
       for (const CddRule* rule : applicable) {
         for (size_t i = 0; i < repo_->num_samples(); ++i) {
           if (rule->DeterminantsSatisfied(r, *repo_, i)) {
             AccumulateCandidates(*repo_, *rule, i, options_.use_coord_filter,
-                                 &freq);
+                                 &counts_);
           }
         }
       }
     }
     std::vector<ImputedTuple::Candidate> cands =
-        FinalizeCandidates(freq, options_.max_candidates_per_attr);
+        counts_.Finalize(options_.max_candidates_per_attr);
     if (!cands.empty()) {
       ImputedTuple::ImputedAttr ia;
       ia.attr = j;

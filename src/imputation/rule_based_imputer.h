@@ -1,9 +1,9 @@
 #ifndef TERIDS_IMPUTATION_RULE_BASED_IMPUTER_H_
 #define TERIDS_IMPUTATION_RULE_BASED_IMPUTER_H_
 
-#include <unordered_map>
 #include <vector>
 
+#include "imputation/candidate_counts.h"
 #include "imputation/imputer.h"
 #include "repo/repository.h"
 #include "rules/rule.h"
@@ -30,8 +30,8 @@ struct RuleImputerOptions {
 /// construct it with the corresponding miner output. This is the *linear*
 /// strategy (scan all rules, scan all samples); the TER-iDS engine replaces
 /// both scans with the CDD-index / DR-index join but reuses the candidate
-/// accumulation helpers below, so indexed and unindexed paths provably
-/// impute identically.
+/// candidate accumulator (CandidateCounts), so indexed and unindexed paths
+/// provably impute identically.
 class RuleBasedImputer : public Imputer {
  public:
   RuleBasedImputer(const Repository* repo, std::vector<CddRule> rules,
@@ -49,21 +49,17 @@ class RuleBasedImputer : public Imputer {
   std::vector<CddRule> rules_;
   std::vector<std::vector<int>> by_dependent_;
   RuleImputerOptions options_;
+  CandidateCounts counts_;
 };
 
-/// Accumulates, into `freq`, the candidate set cand(s[A_j]) contributed by
+/// Accumulates, into `counts`, the candidate set cand(s[A_j]) contributed by
 /// one (rule, repository sample) combination: every domain value `val` of
 /// attribute `attr_j` with dist(s[A_j], val) inside the rule's dependent
 /// interval gets its frequency bumped by 1 (Section 3). The caller is
 /// responsible for having verified the determinant constraints.
 void AccumulateCandidates(const Repository& repo, const CddRule& rule,
                           size_t sample_idx, bool use_coord_filter,
-                          std::unordered_map<ValueId, double>* freq);
-
-/// Converts an accumulated frequency distribution into the normalized
-/// candidate list of Equation (4), keeping the top `max_candidates`.
-std::vector<ImputedTuple::Candidate> FinalizeCandidates(
-    const std::unordered_map<ValueId, double>& freq, int max_candidates);
+                          CandidateCounts* counts);
 
 }  // namespace terids
 

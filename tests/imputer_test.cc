@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "imputation/candidate_counts.h"
 #include "imputation/constraint_imputer.h"
 #include "imputation/rule_based_imputer.h"
 #include "imputation/value_neighborhoods.h"
@@ -101,35 +106,223 @@ TEST_F(RuleBasedImputerTest, RulesForDependentPartitionsRuleSet) {
   EXPECT_EQ(total, rules_.size());
 }
 
-TEST(ValueNeighborhoodsTest, SlicesMatchBruteForce) {
+using NeighborList = std::vector<std::pair<double, ValueId>>;
+
+/// The scan build the neighbourhood lists must reproduce: every value in the
+/// centre's main-pivot coordinate band within `radius`, sorted by
+/// (distance, ValueId).
+NeighborList ScanNeighborhood(const Repository& repo, int attr, ValueId center,
+                              double radius) {
+  const double coord = repo.coord(attr, center);
+  NeighborList out;
+  for (ValueId v : repo.ValuesInCoordRange(
+           attr, Interval::Of(coord - radius, coord + radius))) {
+    const double dist = JaccardDistance(repo.value_tokens(attr, center),
+                                        repo.value_tokens(attr, v));
+    if (dist <= radius) {
+      out.emplace_back(dist, v);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// A cached list with its implicit tail spelled out.
+NeighborList Expand(const ValueNeighborhoods::List& list, size_t domain_size) {
+  NeighborList out = list.near;
+  if (list.implicit_tail) {
+    std::vector<bool> near(domain_size, false);
+    for (const auto& [dist, v] : list.near) {
+      near[v] = true;
+    }
+    for (ValueId v = 0; v < domain_size; ++v) {
+      if (!near[v]) {
+        out.emplace_back(1.0, v);
+      }
+    }
+  }
+  return out;
+}
+
+/// The health world plus an empty value on every attribute, so lists meet
+/// the empty-set convention (two empty sets are at distance 0).
+ToyWorld MakeWorldWithEmptyValues() {
   ToyWorld world = MakeHealthWorld();
-  std::vector<double> radius(world.repo->num_attributes(), 0.8);
-  ValueNeighborhoods neighborhoods(world.repo.get(), radius);
-  const int attr = 2;
-  const AttributeDomain& dom = world.repo->domain(attr);
-  for (ValueId center = 0; center < dom.size(); ++center) {
-    for (const Interval dep : {Interval::Of(0.0, 0.3), Interval::Of(0.2, 0.6),
-                               Interval::Of(0.0, 0.8)}) {
-      std::unordered_map<ValueId, double> freq;
-      neighborhoods.AccumulateRange(attr, center, dep, &freq);
-      for (ValueId v = 0; v < dom.size(); ++v) {
-        const double dist = JaccardDistance(dom.tokens(center), dom.tokens(v));
-        EXPECT_EQ(freq.count(v) > 0, dep.Contains(dist))
-            << "center=" << center << " v=" << v << " dist=" << dist;
+  for (int x = 0; x < world.repo->num_attributes(); ++x) {
+    world.repo->RegisterValue(x, TokenSet(), "");
+  }
+  return world;
+}
+
+TEST(ValueNeighborhoodsTest, ListsEqualScanBuild) {
+  ToyWorld world = MakeWorldWithEmptyValues();
+  const Repository& repo = *world.repo;
+  for (const double r : {0.3, 0.8, 1.0}) {
+    ValueNeighborhoods neighborhoods(
+        world.repo.get(), std::vector<double>(repo.num_attributes(), r));
+    for (int attr = 0; attr < repo.num_attributes(); ++attr) {
+      for (ValueId center = 0; center < repo.domain_size(attr); ++center) {
+        const ValueNeighborhoods::List& list =
+            neighborhoods.Neighborhood(attr, center);
+        EXPECT_EQ(list.implicit_tail, r >= 1.0);
+        for (const auto& [dist, v] : list.near) {
+          EXPECT_LT(dist, 1.0);
+        }
+        EXPECT_EQ(Expand(list, repo.domain_size(attr)),
+                  ScanNeighborhood(repo, attr, center, r))
+            << "radius=" << r << " attr=" << attr << " center=" << center;
       }
     }
   }
 }
 
-TEST(ValueNeighborhoodsTest, InvalidateRebuildsAfterDomainGrowth) {
+TEST(ValueNeighborhoodsTest, SlicesMatchBruteForce) {
+  ToyWorld world = MakeWorldWithEmptyValues();
+  const Repository& repo = *world.repo;
+  const std::vector<Interval> below_one = {
+      Interval::Of(0.0, 0.0), Interval::Of(0.0, 0.3), Interval::Of(0.2, 0.6),
+      Interval::Of(0.0, 0.8)};
+  const std::vector<Interval> with_one = {
+      Interval::Of(0.0, 1.0), Interval::Of(0.5, 1.0), Interval::Of(1.0, 1.0),
+      Interval::Of(0.9, 1.0)};
+  for (const double r : {0.8, 1.0}) {
+    std::vector<Interval> deps = below_one;
+    if (r >= 1.0) {
+      deps.insert(deps.end(), with_one.begin(), with_one.end());
+    }
+    ValueNeighborhoods neighborhoods(
+        world.repo.get(), std::vector<double>(repo.num_attributes(), r));
+    CandidateCounts counts;
+    for (int attr = 0; attr < repo.num_attributes(); ++attr) {
+      const size_t n = repo.domain_size(attr);
+      for (ValueId center = 0; center < n; ++center) {
+        for (const Interval& dep : deps) {
+          // Two slices into one distribution, so counts of 2 occur and the
+          // base-plus-exceptions path meets a second accumulation.
+          const ValueId other = (center + 1) % n;
+          counts.Reset(n);
+          neighborhoods.AccumulateRange(attr, center, dep, &counts);
+          neighborhoods.AccumulateRange(attr, other, dep, &counts);
+          std::vector<int> expected(n, 0);
+          int total = 0;
+          for (ValueId v = 0; v < n; ++v) {
+            for (ValueId c : {center, other}) {
+              if (dep.Contains(JaccardDistance(repo.value_tokens(attr, c),
+                                               repo.value_tokens(attr, v)))) {
+                ++expected[v];
+                ++total;
+              }
+            }
+          }
+          std::vector<int> got(n, 0);
+          for (const ImputedTuple::Candidate& cand :
+               counts.Finalize(static_cast<int>(n))) {
+            got[cand.vid] = static_cast<int>(cand.prob * total + 0.5);
+            EXPECT_EQ(cand.prob, static_cast<double>(got[cand.vid]) / total);
+          }
+          EXPECT_EQ(got, expected) << "radius=" << r << " attr=" << attr
+                                   << " center=" << center << " dep=["
+                                   << dep.lo << "," << dep.hi << "]";
+        }
+      }
+    }
+  }
+}
+
+TEST(ValueNeighborhoodsTest, RefreshAfterGrowthEqualsColdRebuild) {
+  for (const double r : {0.8, 1.0}) {
+    ToyWorld world = MakeHealthWorld();
+    Repository& repo = *world.repo;
+    const std::vector<double> radius(repo.num_attributes(), r);
+    ValueNeighborhoods warm(world.repo.get(), radius);
+    std::vector<size_t> before(repo.num_attributes());
+    for (int attr = 0; attr < repo.num_attributes(); ++attr) {
+      before[attr] = repo.domain_size(attr);
+      for (ValueId v = 0; v < before[attr]; ++v) {
+        warm.Neighborhood(attr, v);
+      }
+    }
+    // New values sharing tokens with cached centres, a disjoint one and an
+    // empty one; "drug rest" also lands between existing entries.
+    Tokenizer tok(world.dict.get());
+    for (const char* text :
+         {"drug rest", "eye drop therapy", "brand new treatment", ""}) {
+      repo.RegisterValue(3, tok.Tokenize(text), text);
+    }
+    repo.RegisterValue(1, tok.Tokenize("fever thirst"), "fever thirst");
+    warm.Refresh(radius);
+
+    ValueNeighborhoods cold(world.repo.get(), radius);
+    for (int attr = 0; attr < repo.num_attributes(); ++attr) {
+      for (ValueId v = 0; v < repo.domain_size(attr); ++v) {
+        const ValueNeighborhoods::List& w = warm.Neighborhood(attr, v);
+        const ValueNeighborhoods::List& c = cold.Neighborhood(attr, v);
+        EXPECT_EQ(w.near, c.near) << "radius=" << r << " attr=" << attr
+                                  << " center=" << v;
+        EXPECT_EQ(w.implicit_tail, c.implicit_tail);
+      }
+    }
+    EXPECT_EQ(repo.domain_size(3), before[3] + 4);
+  }
+}
+
+TEST(ValueNeighborhoodsTest, RefreshWithWiderRadiusRebuildsLists) {
   ToyWorld world = MakeHealthWorld();
-  std::vector<double> radius(world.repo->num_attributes(), 1.0);
+  const Repository& repo = *world.repo;
+  const int attr = 3;
+  std::vector<double> radius(repo.num_attributes(), 0.5);
   ValueNeighborhoods neighborhoods(world.repo.get(), radius);
-  const size_t before = neighborhoods.Neighborhood(2, 0).size();
-  Tokenizer tok(world.dict.get());
-  world.repo->RegisterValue(2, tok.Tokenize("brand new diagnosis"), "new");
-  neighborhoods.Invalidate();
-  EXPECT_EQ(neighborhoods.Neighborhood(2, 0).size(), before + 1);
+  for (ValueId v = 0; v < repo.domain_size(attr); ++v) {
+    neighborhoods.Neighborhood(attr, v);
+  }
+  radius[attr] = 1.0;
+  neighborhoods.Refresh(radius);
+  for (ValueId v = 0; v < repo.domain_size(attr); ++v) {
+    EXPECT_EQ(Expand(neighborhoods.Neighborhood(attr, v),
+                     repo.domain_size(attr)),
+              ScanNeighborhood(repo, attr, v, 1.0));
+  }
+}
+
+TEST(CandidateCountsTest, FinalizeOrdersCapsAndRenormalizes) {
+  CandidateCounts counts;
+  counts.Reset(6);
+  for (ValueId v : {4, 1, 4, 2, 4, 1, 5}) {
+    counts.Add(v);
+  }
+  // Counts: 4 -> 3, 1 -> 2, 2 -> 1, 5 -> 1 (total 7).
+  std::vector<ImputedTuple::Candidate> all = counts.Finalize(10);
+  ASSERT_EQ(all.size(), 4u);
+  EXPECT_EQ(all[0].vid, 4u);
+  EXPECT_EQ(all[0].prob, 3.0 / 7.0);
+  EXPECT_EQ(all[1].vid, 1u);
+  EXPECT_EQ(all[2].vid, 2u);  // Ties break by ascending ValueId.
+  EXPECT_EQ(all[3].vid, 5u);
+  std::vector<ImputedTuple::Candidate> top = counts.Finalize(2);
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_EQ(top[0].vid, 4u);
+  EXPECT_DOUBLE_EQ(top[0].prob, 3.0 / 5.0);
+  EXPECT_DOUBLE_EQ(top[1].prob, 2.0 / 5.0);
+}
+
+TEST(CandidateCountsTest, ResetForgetsAndAddAllCoversTheDomain) {
+  CandidateCounts counts;
+  counts.Reset(4);
+  counts.Add(0);
+  counts.Reset(4);
+  EXPECT_TRUE(counts.Finalize(10).empty());
+  // Every value once, minus value 2, plus value 3 again: 0, 1 at 1/4 each
+  // and 3 at 2/4.
+  counts.AddAll();
+  counts.Remove(2);
+  counts.Add(3);
+  std::vector<ImputedTuple::Candidate> out = counts.Finalize(10);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].vid, 3u);
+  EXPECT_EQ(out[0].prob, 0.5);
+  EXPECT_EQ(out[1].vid, 0u);
+  EXPECT_EQ(out[2].vid, 1u);
+  EXPECT_EQ(out[2].prob, 0.25);
 }
 
 TEST(ConstraintImputerTest, UsesMostRecentCompleteDonor) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "core/baseline_engines.h"
 #include "core/pipeline.h"
@@ -11,6 +12,7 @@
 #include "datagen/profiles.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
+#include "imputation/rule_based_imputer.h"
 #include "stream/stream_driver.h"
 
 namespace terids {
@@ -24,6 +26,33 @@ ExperimentParams SmallParams() {
   params.xi = 0.3;
   params.m = 1;
   return params;
+}
+
+/// A TerIdsEngine whose imputation step a test can call directly.
+class ImputeProbe : public TerIdsEngine {
+ public:
+  using TerIdsEngine::TerIdsEngine;
+  std::vector<ImputedTuple::ImputedAttr> ImputeOnly(const Record& r) {
+    return Impute(r, ProbeCoords::Compute(r, *repo_), nullptr);
+  }
+};
+
+bool SameImputation(const std::vector<ImputedTuple::ImputedAttr>& a,
+                    const std::vector<ImputedTuple::ImputedAttr>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].attr != b[i].attr ||
+        a[i].candidates.size() != b[i].candidates.size()) {
+      return false;
+    }
+    for (size_t c = 0; c < a[i].candidates.size(); ++c) {
+      if (a[i].candidates[c].vid != b[i].candidates[c].vid ||
+          a[i].candidates[c].prob != b[i].candidates[c].prob) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 class PipelineIntegrationTest : public ::testing::Test {
@@ -165,21 +194,108 @@ TEST_F(PipelineIntegrationTest, PruningPowerIsHigh) {
 
 TEST_F(PipelineIntegrationTest, DynamicRepositoryAbsorption) {
   std::unique_ptr<Repository> repo = experiment_.BuildRepository();
-  TerIdsEngine engine(repo.get(), experiment_.MakeConfig(), 2,
-                      experiment_.cdds());
+  ImputeProbe engine(repo.get(), experiment_.MakeConfig(), 2,
+                     experiment_.cdds());
+  StreamDriver driver(
+      {experiment_.dataset().source_a, experiment_.dataset().source_b});
+  std::vector<Record> before_absorb;
+  for (int i = 0; i < 50 && driver.HasNext(); ++i) {
+    before_absorb.push_back(driver.Next());
+    engine.ProcessArrival(before_absorb.back());
+  }
   const size_t before = repo->num_samples();
   std::vector<Record> batch(experiment_.dataset().repo_records.begin(),
                             experiment_.dataset().repo_records.begin() + 5);
   ASSERT_TRUE(engine.AbsorbRepositoryBatch(batch).ok());
   EXPECT_EQ(repo->num_samples(), before + 5);
   EXPECT_EQ(engine.dr_index().size(), before + 5);
-  // The engine still processes arrivals correctly afterwards.
-  StreamDriver driver(
-      {experiment_.dataset().source_a, experiment_.dataset().source_b});
+  // The warm engine imputes exactly like one built over the grown
+  // repository and the widened rules.
+  ImputeProbe fresh(repo.get(), experiment_.MakeConfig(), 2, engine.rules());
+  std::vector<Record> probes = before_absorb;
   for (int i = 0; i < 50 && driver.HasNext(); ++i) {
-    engine.ProcessArrival(driver.Next());
+    probes.push_back(driver.Next());
+    engine.ProcessArrival(probes.back());
   }
-  SUCCEED();
+  for (const Record& r : probes) {
+    EXPECT_TRUE(SameImputation(engine.ImputeOnly(r), fresh.ImputeOnly(r)))
+        << "rid " << r.rid;
+  }
+}
+
+/// Regression: an absorb that widens a rule's dependent interval past the
+/// radius the value neighbourhoods were built for (here attribute 3's went
+/// from 0 to 1.0) used to leave the lists at the old radius, silently
+/// dropping candidates. The warm engine must keep imputing exactly like a
+/// freshly built engine and like the linear rule scan.
+TEST(AbsorbRegressionTest, WidenedRadiusKeepsImputationsExact) {
+  ExperimentParams params;
+  params.scale = 0.004;
+  params.w = 200;
+  params.xi = 0.3;
+  params.eta = 0.3;
+  params.topics_in_query = 1;
+  params.max_arrivals = 2000;
+  params.seed = 64 * 101 + 3;
+  Experiment exp(SongsProfile(), params);
+  std::unique_ptr<Repository> repo = exp.BuildRepository();
+  const EngineConfig config = exp.MakeConfig();
+  ImputeProbe engine(repo.get(), config, 2, exp.cdds());
+  std::unordered_map<int64_t, const Record*> complete;
+  for (const Record& r : exp.dataset().source_a) complete[r.rid] = &r;
+  for (const Record& r : exp.dataset().source_b) complete[r.rid] = &r;
+
+  RuleImputerOptions linear_opts;
+  linear_opts.max_candidates_per_attr = config.max_candidates_per_attr;
+  // The engine imputes every arrival (that is what warms its lists; the ER
+  // phase does not touch them). The references are slower, so the fresh
+  // engine checks every 2nd arrival and the linear scan every 16th (before
+  // the absorb, both every 20th).
+  size_t compared = 0;
+  auto expect_exact = [&](ImputeProbe* fresh, RuleBasedImputer* linear,
+                          const Record& r) {
+    const auto got = engine.ImputeOnly(r);
+    if (fresh != nullptr) {
+      EXPECT_TRUE(SameImputation(got, fresh->ImputeOnly(r))) << "rid " << r.rid;
+      compared += got.size();
+    }
+    if (linear != nullptr) {
+      EXPECT_TRUE(SameImputation(got, linear->ImputeRecord(r, nullptr)))
+          << "rid " << r.rid;
+    }
+  };
+
+  StreamDriver driver({exp.incomplete_a(), exp.incomplete_b()});
+  std::vector<Record> arrived;
+  {
+    ImputeProbe fresh(repo.get(), config, 2, exp.cdds());
+    RuleBasedImputer linear(repo.get(), exp.cdds(), linear_opts);
+    for (int i = 0; i < 1000 && driver.HasNext(); ++i) {
+      arrived.push_back(driver.Next());
+      const bool check = i % 20 == 0;
+      expect_exact(check ? &fresh : nullptr, check ? &linear : nullptr,
+                   arrived.back());
+    }
+  }
+  ASSERT_EQ(arrived.size(), 1000u);
+  std::vector<Record> batch;
+  for (size_t k = 0; k < 50; ++k) {
+    batch.push_back(*complete.at(arrived[arrived.size() - 1 - k].rid));
+  }
+  const std::vector<double> radius_before =
+      ValueNeighborhoods::MaxRadiusPerAttr(exp.cdds(), repo->num_attributes());
+  ASSERT_TRUE(engine.AbsorbRepositoryBatch(batch).ok());
+  const std::vector<double> radius_after = ValueNeighborhoods::MaxRadiusPerAttr(
+      engine.rules(), repo->num_attributes());
+  EXPECT_LT(radius_before[3], radius_after[3]);  // The case this pins.
+
+  ImputeProbe fresh(repo.get(), config, 2, engine.rules());
+  RuleBasedImputer linear(repo.get(), engine.rules(), linear_opts);
+  for (int i = 0; driver.HasNext(); ++i) {
+    expect_exact(i % 2 == 0 ? &fresh : nullptr,
+                 i % 16 == 0 ? &linear : nullptr, driver.Next());
+  }
+  EXPECT_GT(compared, 500u);
 }
 
 /// Async ingest runs only as the Scheduler's kIngest chain: asking for an
