@@ -13,7 +13,6 @@ ValueNeighborhoods::ValueNeighborhoods(const Repository* repo,
   for (size_t x = 0; x < radius.size(); ++x) {
     attrs_[x].radius = radius[x];
     attrs_[x].known_size = repo->domain_size(static_cast<int>(x));
-    attrs_[x].lists.resize(attrs_[x].known_size);
   }
 }
 
@@ -82,11 +81,7 @@ bool ValueNeighborhoods::Admits(int attr, const Interval& band, ValueId v,
 }
 
 void ValueNeighborhoods::Build(int attr, ValueId center, List* list) {
-  AttrState& st = attrs_[attr];
-  if (!st.postings_built) {
-    IndexValues(attr, 0, st.known_size);
-    st.postings_built = true;
-  }
+  const AttrState& st = attrs_[attr];
   const Interval band = Band(attr, center);
   list->near.clear();
   list->implicit_tail = st.radius >= 1.0;
@@ -118,6 +113,13 @@ const ValueNeighborhoods::List& ValueNeighborhoods::Neighborhood(int attr,
   AttrState& st = attrs_[attr];
   // A larger vid means the domain grew without a Refresh().
   TERIDS_CHECK(vid < st.known_size);
+  if (!st.postings_built) {
+    // First list of this attribute: nothing is allocated at construction,
+    // so engine set-up pays nothing for attributes never imputed.
+    IndexValues(attr, 0, st.known_size);
+    st.lists.resize(st.known_size);
+    st.postings_built = true;
+  }
   List& list = st.lists[vid];
   if (!list.built) {
     Build(attr, vid, &list);
@@ -167,10 +169,10 @@ void ValueNeighborhoods::Refresh(std::vector<double> radius) {
     }
     TERIDS_CHECK(new_size > old_size);  // Domains only grow.
     st.known_size = new_size;
-    st.lists.resize(new_size);
     if (!st.postings_built) {
       continue;  // No list is cached yet; the first build indexes it all.
     }
+    st.lists.resize(new_size);
     IndexValues(attr, old_size, new_size);
     // Sharing a token is symmetric, so a new value's own posting hits are
     // exactly the centres whose near part may gain it. New values have no

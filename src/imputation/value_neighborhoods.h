@@ -81,10 +81,12 @@ class ValueNeighborhoods {
     size_t known_size = 0;
     /// Indexed by ValueId; `built` marks the cached ones.
     std::vector<List> lists;
-    /// Token -> ascending ValueIds carrying it; built on first use.
+    /// Token -> ascending ValueIds carrying it.
     std::unordered_map<Token, std::vector<ValueId>> postings;
     /// Values with an empty token set (distance 0 to each other).
     std::vector<ValueId> empty_values;
+    /// Whether `postings`, `empty_values` and `lists` are set up; done on
+    /// the attribute's first list.
     bool postings_built = false;
   };
 
