@@ -16,11 +16,11 @@ namespace terids {
 ///
 /// Counts live in a dense per-ValueId EpochArray (the id -> dense-array idiom
 /// of interned vocabularies), so Reset() is O(1), and a touched list bounds
-/// Finalize() by the values actually counted. A count is
-/// `base + own(v)`: AddAll() raises every value of the domain by one through
-/// `base`, and the caller Remove()s the exceptions. That is how the implicit
-/// distance-1.0 tail of a value neighbourhood is accumulated without walking
-/// it (imputation/value_neighborhoods.h).
+/// Finalize() by the values actually counted. A count is `base + own(v)`:
+/// AddAll() raises every value of the domain by one through `base`, and the
+/// caller Remove()s the exceptions. That is how the implicit distance-1.0
+/// tail of a value neighbourhood is accumulated without walking it
+/// (imputation/value_neighborhoods.h).
 ///
 /// Counts are whole numbers, so the total and every probability are exact
 /// regardless of accumulation order: indexed and linear imputation produce
@@ -34,7 +34,7 @@ class CandidateCounts {
   /// +1 for value `v`.
   void Add(ValueId v) { Bump(v, 1); }
   /// -1 for value `v`; only valid for a value that an earlier Add() or
-  /// AddAllExcept() raised.
+  /// AddAll() raised.
   void Remove(ValueId v) { Bump(v, -1); }
   /// +1 for every value of the domain (the caller then Remove()s the
   /// exceptions).
