@@ -32,23 +32,21 @@ int EnvInt(const char* name, int fallback, int min_value);
 /// SCHED is the Scheduler's worker count, and a QUEUE > 0 without SCHED
 /// >= 1 is rejected with a stderr message and falls back to 0) plus
 /// TERIDS_BENCH_SIGFILTER (0|1, default 1 = signature-bounded Jaccard
-/// kernel on), the token-signature width from TERIDS_BENCH_SIGWIDTH (64 | 128
-/// | 256, default 64; DESIGN.md §11), the repository storage backend from
+/// kernel on), the repository storage backend from
 /// TERIDS_BENCH_REPO_BACKEND ("memory" | "mmap", default memory), and the
-/// v2 snapshot decode mode from TERIDS_BENCH_SNAPDECODE ("lazy" | "eager",
+/// snapshot decode mode from TERIDS_BENCH_SNAPDECODE ("lazy" | "eager",
 /// default lazy; mmap backend only), and the async-ingest overload policy
 /// from TERIDS_BENCH_OVERLOAD ("block" | "shed_newest" | "shed_oldest" |
 /// "degrade", default block; DESIGN.md §13).
 /// Every bench that replays arrivals through Experiment::Run inherits them
 /// via BaseParams, so any figure can be reproduced under micro-batching,
-/// parallel refinement, async ingest, the signature filter at any width,
-/// and either storage backend without code changes.
+/// parallel refinement, async ingest, the signature filter on or off, and
+/// either storage backend without code changes.
 struct ExecKnobs {
   int batch_size = 1;
   int refine_threads = 1;
   int ingest_queue_depth = 0;
   bool signature_filter = true;
-  int sig_width = 64;
   int sched_threads = 0;
   RepoBackend repo_backend = RepoBackend::kInMemory;
   SnapshotDecode snapshot_decode = SnapshotDecode::kLazy;

@@ -9,15 +9,12 @@
 // FindValue) and sorted-coordinate range scans — against both backends,
 // with the in-memory results as the correctness oracle. Section 3 runs the
 // full TER-iDS pipeline end to end per backend. Section 4 is the cold-open
-// study: the same repository written as a v1 and a v2 snapshot file, opened
-// v1-eager / v2-eager / v2-lazy, measuring open latency, time to first
+// study: one snapshot file opened eager (every section decoded at open) and
+// lazy (header + section TOC only), measuring open latency, time to first
 // arrival (engine construction + one record, where lazy decode pays its
 // deferred cost), and resident-set growth — with a fresh-reopen read oracle
-// proving every mode serves identical bytes. Expected shape: the mmap
-// backend pays a small indirection/merge overhead on reads in exchange for
-// a build-once file whose geometry tables live in the page cache instead
-// of the heap, and the v2 lazy open is orders of magnitude faster than any
-// eager open because it touches only the header + section TOC.
+// proving both modes serve identical bytes. The run ends in computed
+// verdict lines (bench::PrintVerdict) checked against the tables printed.
 
 #include <algorithm>
 #include <cstdio>
@@ -34,7 +31,6 @@
 #include "core/pipeline.h"
 #include "datagen/profiles.h"
 #include "repo/repository.h"
-#include "repo/snapshot_format.h"
 #include "repo/snapshot_writer.h"
 #include "stream/stream_driver.h"
 #include "util/rng.h"
@@ -273,16 +269,14 @@ int main() {
         .Num("matches", static_cast<double>(run.final_result_size));
   }
 
-  // --- Section 4: cold open across format versions + decode modes --------
-  // The same repository written as v1 (monolithic payload, decoded at open)
-  // and v2 (section TOC, lazily decodable). Per mode: open latency, time to
-  // first arrival (engine construction + one record — where lazy decode
-  // pays for the sections the engine actually touches), and RSS growth.
-  const std::string v1_path = UniqueSnapshotPath("terids-bench-cold-v1");
-  const std::string v2_path = UniqueSnapshotPath("terids-bench-cold-v2");
-  if (!WriteRepositorySnapshot(*memory, v1_path, snapshot::kVersionEager)
-           .ok() ||
-      !WriteRepositorySnapshot(*memory, v2_path, snapshot::kVersion).ok()) {
+  // --- Section 4: cold open per decode mode ------------------------------
+  // One snapshot file, opened eager (every section decoded and checked at
+  // open) and lazy (header + section TOC; sections decode on first touch).
+  // Per mode: open latency, time to first arrival (engine construction +
+  // one record — where lazy decode pays for the sections the engine
+  // actually touches), and RSS growth.
+  const std::string cold_path = UniqueSnapshotPath("terids-bench-cold");
+  if (!WriteRepositorySnapshot(*memory, cold_path).ok()) {
     std::fprintf(stderr, "FATAL: cold-open snapshot write failed\n");
     return 1;
   }
@@ -290,20 +284,19 @@ int main() {
 
   struct ColdMode {
     const char* name;
-    const std::string* path;
     SnapshotDecode decode;
   };
   const ColdMode cold_modes[] = {
-      {"v1-eager", &v1_path, SnapshotDecode::kEager},
-      {"v2-eager", &v2_path, SnapshotDecode::kEager},
-      {"v2-lazy", &v2_path, SnapshotDecode::kLazy},
+      {"eager", SnapshotDecode::kEager},
+      {"lazy", SnapshotDecode::kLazy},
   };
-  std::printf("\n-- cold open: %ld-byte v1 file, %ld-byte v2 file --\n",
-              FileSizeBytes(v1_path), FileSizeBytes(v2_path));
+  std::printf("\n-- cold open: %ld-byte snapshot --\n",
+              FileSizeBytes(cold_path));
   std::printf("%-9s %12s %18s %13s %16s\n", "mode", "open_ms",
               "first_arrival_ms", "rss_open_kb", "rss_arrival_kb");
-  double cold_open_ms[3] = {0.0, 0.0, 0.0};
-  for (int i = 0; i < 3; ++i) {
+  double cold_open_ms[2] = {0.0, 0.0};
+  double cold_first_arrival_ms[2] = {0.0, 0.0};
+  for (int i = 0; i < 2; ++i) {
     const ColdMode& mode = cold_modes[i];
 #if defined(__GLIBC__)
     // Return freed heap from the previous mode to the OS so this mode's
@@ -313,7 +306,7 @@ int main() {
     const long rss_before = CurrentRssKb();
     Stopwatch cold_watch;
     Result<std::unique_ptr<Repository>> cold = Repository::OpenSnapshot(
-        &memory->schema(), &memory->dict(), *mode.path, mode.decode);
+        &memory->schema(), &memory->dict(), cold_path, mode.decode);
     cold_open_ms[i] = 1e3 * cold_watch.ElapsedSeconds();
     if (!cold.ok()) {
       std::fprintf(stderr, "FATAL: cold open (%s) failed: %s\n", mode.name,
@@ -335,6 +328,7 @@ int main() {
     pipeline->ProcessStream(&driver, /*max_arrivals=*/1, /*batch_size=*/1,
                             [](ArrivalOutcome&&) {});
     const double first_arrival_ms = 1e3 * arrival_watch.ElapsedSeconds();
+    cold_first_arrival_ms[i] = first_arrival_ms;
     const long rss_arrival = CurrentRssKb();
 
     // Identical-output oracle on a *fresh* open of the same file+mode: the
@@ -343,7 +337,7 @@ int main() {
     // stream values into that instance's overlay — a pristine reopen keeps
     // the comparison byte-for-byte against the in-memory build.
     Result<std::unique_ptr<Repository>> recheck = Repository::OpenSnapshot(
-        &memory->schema(), &memory->dict(), *mode.path, mode.decode);
+        &memory->schema(), &memory->dict(), cold_path, mode.decode);
     if (!recheck.ok() ||
         MeasureReads(*recheck.value(), workload, 1).checksum !=
             cold_oracle.checksum) {
@@ -372,21 +366,20 @@ int main() {
              static_cast<double>(RssDeltaKb(rss_before, rss_open)))
         .Num("rss_first_arrival_delta_kb",
              static_cast<double>(RssDeltaKb(rss_before, rss_arrival)))
-        .Num("speedup_vs_v1_eager", speedup);
+        .Num("speedup_vs_eager", speedup);
   }
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
-  std::printf("cold-open speedup, v2-lazy over v1-eager: %.1fx\n",
-              cold_open_ms[0] / std::max(cold_open_ms[2], 1e-6));
+  std::remove(cold_path.c_str());
 
-  std::printf(
-      "\nexpected shape: snapshot write + mmap open amortize to near-zero\n"
-      "against repeated runs (the file is build-once); point lookups pay a\n"
-      "branch for the base/overlay split and range scans a two-way merge,\n"
-      "so mmap reads trail memory slightly while every byte returned is\n"
-      "identical — the oracle checks enforce it. The v2 lazy cold open\n"
-      "validates only the header + TOC, so its open latency is independent\n"
-      "of snapshot size and its RSS grows only for sections actually\n"
-      "touched.\n");
+  std::printf("\n");
+  char evidence[200];
+  std::snprintf(evidence, sizeof(evidence),
+                "open %.4f vs %.4f ms (%.1fx); first arrival %.4f vs %.4f ms",
+                cold_open_ms[1], cold_open_ms[0],
+                cold_open_ms[0] / std::max(cold_open_ms[1], 1e-6),
+                cold_first_arrival_ms[1], cold_first_arrival_ms[0]);
+  PrintVerdict("lazy open beats eager open", cold_open_ms[1] < cold_open_ms[0],
+               evidence);
+  PrintVerdict("every mmap read equals the in-memory oracle", true,
+               "read checksums compared per backend and per decode mode");
   return 0;
 }

@@ -64,16 +64,6 @@ struct EngineConfig {
   /// so emitted matches, MatchSet, and PruneStats are bit-identical with
   /// the filter on or off (the equivalence sweep enforces it).
   bool signature_filter = true;
-  /// Width in bits of the per-(instance, attribute) token signatures: 64,
-  /// 128, or 256 (DESIGN.md §11). Wider signatures halve/quarter the hash
-  /// collision rate, tightening the popcount upper bound on long token
-  /// sets (fewer saturated probes, more merge-free rejects) at the price
-  /// of 2x/4x signature memory and popcount work per probe — the batch
-  /// sweep vectorizes the extra words (AVX2/NEON when available). Any
-  /// width changes merge counts only: matches, MatchSet, and PruneStats'
-  /// outcome counters are bit-identical across widths (equivalence sweep
-  /// enforced); only the sig_* observability counters may differ.
-  int sig_width = 64;
   /// Worker count of the phase-tagged Scheduler (DESIGN.md §10). 0 = no
   /// scheduler: every phase runs inline on the calling thread (the
   /// synchronous sequential operator, the equivalence oracle). >= 1 = one
@@ -89,13 +79,13 @@ struct EngineConfig {
   /// runs record which backend produced them and bench artifacts stay
   /// distinguishable. Every backend yields bit-identical results.
   RepoBackend repo_backend = RepoBackend::kInMemory;
-  /// How the mmap backend materializes a v2 snapshot (DESIGN.md §8).
+  /// How the mmap backend materializes a snapshot (DESIGN.md §8).
   /// kLazy (default): Open validates only the header + section TOC, and
   /// each section decodes under a once_flag on first touch — near-instant
   /// cold open, zero-copy token/text views. kEager: every section decodes
-  /// at open, the v1-equivalent oracle. Ignored by the in-memory backend
-  /// and for v1 snapshot files (always eager). Both modes yield
-  /// bit-identical results (the equivalence sweep enforces it).
+  /// at open, the decode-at-open oracle. Ignored by the in-memory backend.
+  /// Both modes yield bit-identical results (the equivalence sweep
+  /// enforces it).
   SnapshotDecode snapshot_decode = SnapshotDecode::kLazy;
   /// What the async ingest path does when refinement falls behind the
   /// arrival stream (DESIGN.md §13). kBlock (default, seed behavior, the

@@ -33,7 +33,6 @@ PipelineBase::PipelineBase(Repository* repo, EngineConfig config,
   // Async ingest (and with it the overload layer) exists only as the
   // Scheduler's kIngest chain.
   TERIDS_CHECK(config_.ingest_queue_depth == 0 || config_.sched_threads >= 1);
-  TERIDS_CHECK(ValidSigBits(config_.sig_width));
   windows_.reserve(num_streams);
   for (int i = 0; i < num_streams; ++i) {
     windows_.emplace_back(config_.window_size);
@@ -85,14 +84,13 @@ void PipelineBase::ImputePhase(ArrivalContext* ctx) {
   const ProbeCoords pc = ProbeCoords::Compute(r, *repo_);
   if (r.IsComplete()) {
     ctx->tuple = std::make_shared<const ImputedTuple>(
-        ImputedTuple::FromComplete(r, repo_, config_.sig_width));
+        ImputedTuple::FromComplete(r, repo_));
   } else {
     std::vector<ImputedTuple::ImputedAttr> imputed =
         Impute(r, pc, &ctx->out.cost);
     ctx->tuple = std::make_shared<const ImputedTuple>(
         ImputedTuple::FromImputation(r, repo_, std::move(imputed),
-                                     config_.max_instances,
-                                     config_.sig_width));
+                                     config_.max_instances));
   }
   ctx->wt = std::make_shared<WindowTuple>();
   ctx->wt->tuple = ctx->tuple;
@@ -274,7 +272,7 @@ void PipelineBase::ReplayShed(std::vector<ArrivalContext>* ctxs) {
 }
 
 void PipelineBase::RefineAndReplayDegraded(std::vector<ArrivalContext>* ctxs) {
-  // Bound-only verdicts are O(d · sig_words) per pair — cheaper than the
+  // Bound-only verdicts are O(d) popcounts per pair — cheaper than the
   // dispatch that parallel refinement would cost — so the degraded replay
   // stays inline on the consumer thread, in arrival order.
   for (ArrivalContext& ctx : *ctxs) {

@@ -37,13 +37,12 @@ struct PruneStats {
   uint64_t refined = 0;
   uint64_t matched = 0;
   /// Signature-filter observability (SigFilterCounters, DESIGN.md §11):
-  /// probes inspected by the popcount pass, how many were saturated (> 75%
-  /// of bits set — the regime where the bound loosens), and how many
+  /// probes inspected by the popcount pass, how many were saturated (> 48
+  /// of 64 bits set — the regime where the bound loosens), and how many
   /// instance pairs the pass certified merge-free. Unlike every counter
-  /// above these are cost-side diagnostics, not outcome counts: saturated /
-  /// rejects legitimately vary with EngineConfig::sig_width (probes does
-  /// not), and all three are zero with the filter off, so the equivalence
-  /// sweep's stats comparison deliberately excludes them.
+  /// above these are cost-side diagnostics, not outcome counts: all three
+  /// are zero with the filter off, so the equivalence sweep's stats
+  /// comparison deliberately excludes them.
   uint64_t sig_probes = 0;
   uint64_t sig_saturated = 0;
   uint64_t sig_rejects = 0;
@@ -109,8 +108,8 @@ struct PruneStats {
                    instance_pruned);
   }
   /// Fraction (in percent) of signature probes that were saturated — the
-  /// production-visible signal that the configured sig_width is too narrow
-  /// for the workload's token-set lengths.
+  /// production-visible signal that 64-bit signatures are too narrow for
+  /// the workload's token-set lengths.
   double SigSaturatedPct() const {
     return sig_probes == 0 ? 0.0
                            : 100.0 * static_cast<double>(sig_saturated) /
@@ -154,7 +153,7 @@ PairEvaluation EvaluatePair(const ImputedTuple& a,
 /// similarity upper bound, the Theorem 4.3 probability bound, and, for
 /// single-instance pairs, the signature-only Jaccard upper bound of
 /// DESIGN.md §11 summed across attributes. No token merge and no exact
-/// refinement ever execute, so the cost per pair is O(d · sig_words). Every
+/// refinement ever execute, so the cost per pair is O(d) popcounts. Every
 /// prune it reports is sound (the same bound EvaluatePair would have
 /// applied); pairs none of the bounds decides come back as
 /// PairOutcome::kDeferred — explicitly unresolved, never silently refuted

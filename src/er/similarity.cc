@@ -15,6 +15,10 @@ namespace {
 /// fall back to the plain exact path rather than spilling to the heap.
 constexpr int kMaxAttrs = 64;
 
+/// A probed signature counts as saturated above this many set bits (3/4 of
+/// 64), the regime where the popcount bound goes loose.
+constexpr int kSigSaturatedBits = 48;
+
 }  // namespace
 
 double RecordSimilarity(const Record& a, const Record& b) {
@@ -59,21 +63,18 @@ bool InstanceSimilarityExceeds(const ImputedTuple& a, int inst_a,
   // the exact verdict is false. The bound arithmetic is shared with the
   // executor's batched prefilter (SigFilterCandidates), which reproduces
   // exactly this accumulation.
-  const int words = a.token_arena().sig_words();
-  TERIDS_CHECK(b.token_arena().sig_words() == words);
-  const int sat_threshold = (3 * a.token_arena().sig_bits()) / 4;
   double ub[kMaxAttrs];
   double total_ub = 0.0;
   for (int k = 0; k < d; ++k) {
     const TokenView va = a.instance_token_view(inst_a, k);
     const TokenView vb = b.instance_token_view(inst_b, k);
-    const SigPopCounts pops = SigPopCount(va.sig, vb.sig, words);
+    const SigPopCounts pops = SigPopCount(va.sig, vb.sig);
     ub[k] = SigJaccardUpperBoundFromPops(va.len, vb.len, pops);
     total_ub += ub[k];
     if (counters != nullptr) {
       counters->probes += 2;
-      counters->saturated += (pops.a > sat_threshold ? 1u : 0u) +
-                             (pops.b > sat_threshold ? 1u : 0u);
+      counters->saturated += (pops.a > kSigSaturatedBits ? 1u : 0u) +
+                             (pops.b > kSigSaturatedBits ? 1u : 0u);
     }
   }
   if (total_ub <= gamma) {

@@ -18,14 +18,14 @@ double InstanceSimilarity(const ImputedTuple& a, int inst_a,
 /// Observability counters for the signature filter pass (PruneStats'
 /// sig_* fields; DESIGN.md §11). `probes` counts signatures inspected by
 /// pass 1 (two per attribute per filtered instance pair) — invariant
-/// across widths and execution modes, because the filter never changes
-/// which instance pairs are visited. `saturated` counts probed signatures
-/// with more than 75% of their bits set (the regime where the popcount
-/// bound goes loose); `rejects` counts instance pairs pass 1 certified
-/// merge-free. Both depend on the configured width — that is the point:
-/// they are how a production run observes whether its width is wide
-/// enough — so they are deliberately excluded from the equivalence
-/// sweep's stats comparison.
+/// across execution modes, because the filter never changes which
+/// instance pairs are visited. `saturated` counts probed signatures with
+/// more than 48 of their 64 bits set (the regime where the popcount bound
+/// goes loose); `rejects` counts instance pairs pass 1 certified
+/// merge-free. They are how a production run observes whether 64 bits are
+/// wide enough for its token-set lengths. All three are cost-side and zero
+/// with the filter off, so they are excluded from the equivalence sweep's
+/// stats comparison.
 struct SigFilterCounters {
   uint64_t probes = 0;
   uint64_t saturated = 0;
@@ -35,11 +35,10 @@ struct SigFilterCounters {
 /// The refinement hot-path kernel: decides InstanceSimilarity(a, b) > gamma
 /// without necessarily running any merge. With `signature_filter`, the
 /// per-attribute signature Jaccard upper bounds are summed first — if even
-/// the bound cannot exceed gamma the pair is rejected in O(d) popcounts
-/// over the tuples' configured signature width — and the exact
-/// per-attribute merges that do run terminate early once the accumulated
-/// exact sum either exceeds gamma or provably cannot. The returned verdict
-/// is always exactly `InstanceSimilarity(...) > gamma` at every width:
+/// the bound cannot exceed gamma the pair is rejected in O(d) popcounts —
+/// and the exact per-attribute merges that do run terminate early once the
+/// accumulated exact sum either exceeds gamma or provably cannot. The
+/// returned verdict is always exactly `InstanceSimilarity(...) > gamma`:
 /// bounds only skip work whose outcome is decided, never change it.
 /// `counters`, when non-null and the filter runs, accumulates the
 /// saturation observability counters above.

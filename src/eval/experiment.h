@@ -41,10 +41,6 @@ struct ExperimentParams {
   /// Signature-bounded Jaccard kernel inside refinement (on by default;
   /// results are bit-identical either way, only merge work is skipped).
   bool signature_filter = true;
-  /// Token-signature width in bits (64 / 128 / 256, DESIGN.md §11). Any
-  /// width produces bit-identical matches and outcome stats; wider
-  /// signatures reject more merges on long token sets.
-  int sig_width = 64;
   /// Scheduler worker count (0 = every phase inline on the caller, the
   /// synchronous operator; >= 1 = the refine fan-out and async ingest
   /// share one worker pool). Every setting produces identical results
@@ -55,7 +51,7 @@ struct ExperimentParams {
   /// temporary snapshot file and reopens it via mmap — results are
   /// bit-identical to kInMemory (the equivalence sweep enforces it).
   RepoBackend repo_backend = RepoBackend::kInMemory;
-  /// v2 snapshot materialization mode for the mmap backend (lazy
+  /// Snapshot materialization mode for the mmap backend (lazy
   /// first-touch section decode vs decode-all-at-open; DESIGN.md §8).
   /// Results are bit-identical either way (equivalence sweep enforced).
   SnapshotDecode snapshot_decode = SnapshotDecode::kLazy;
@@ -135,7 +131,7 @@ class Experiment {
   /// Same, with an explicit backend override (backend-comparison benches
   /// and the storage equivalence sweep); uses params().snapshot_decode.
   std::unique_ptr<Repository> BuildRepository(RepoBackend backend) const;
-  /// Fully explicit: backend + v2 snapshot decode mode.
+  /// Fully explicit: backend + snapshot decode mode.
   std::unique_ptr<Repository> BuildRepository(RepoBackend backend,
                                               SnapshotDecode decode) const;
   EngineConfig MakeConfig() const;

@@ -41,9 +41,7 @@ void ClassifyTasks(const std::vector<RefinementExecutor::Task>& tasks,
     }
     return;
   }
-  const TokenArena& arena = first.token_arena();
-  const int words = arena.sig_words();
-  // SoA gather of the (pair, attribute) lens + signature words for the
+  // SoA gather of the (pair, attribute) lens + signatures for the
   // single-instance pairs, row-major — the layout SigFilterCandidates
   // sweeps in one pass. Thread-local scratch: Run dispatches from one
   // thread, and steady-state batches then reuse the buffers.
@@ -70,16 +68,14 @@ void ClassifyTasks(const std::vector<RefinementExecutor::Task>& tasks,
       heavy->push_back(i);
       continue;
     }
-    TERIDS_CHECK(t.probe->token_arena().sig_words() == words);
-    TERIDS_CHECK(cand.tuple->token_arena().sig_words() == words);
     eligible.push_back(i);
     for (int k = 0; k < d; ++k) {
       const TokenView va = t.probe->instance_token_view(0, k);
       const TokenView vb = cand.tuple->instance_token_view(0, k);
       len_a.push_back(va.len);
       len_b.push_back(vb.len);
-      sig_a.insert(sig_a.end(), va.sig, va.sig + words);
-      sig_b.insert(sig_b.end(), vb.sig, vb.sig + words);
+      sig_a.push_back(va.sig);
+      sig_b.push_back(vb.sig);
     }
   }
   if (eligible.empty()) {
@@ -88,7 +84,6 @@ void ClassifyTasks(const std::vector<RefinementExecutor::Task>& tasks,
   SigFilterBatch batch;
   batch.num_pairs = eligible.size();
   batch.d = d;
-  batch.sig_bits = arena.sig_bits();
   batch.len_a = len_a.data();
   batch.len_b = len_b.data();
   batch.sig_a = sig_a.data();

@@ -122,88 +122,6 @@ void MmapSnapshotStorage::Unmap() {
 
 MmapSnapshotStorage::~MmapSnapshotStorage() { Unmap(); }
 
-// ---------------------------------------------------------------------------
-// Shared block parsers (v1 payload blocks == v2 section bodies)
-// ---------------------------------------------------------------------------
-
-Status MmapSnapshotStorage::ParseDomainBlock(snapshot::Cursor* cur, int attr,
-                                             uint64_t* dom_size_out) const {
-  BaseDomain& dom = base_[attr];
-  uint64_t dom_size = 0;
-  uint64_t total_tokens = 0;
-  if (!cur->ReadU64(&dom_size)) return Truncated();
-  if (!cur->ReadU64(&total_tokens)) return Truncated();
-  const Token* token_ids = cur->Array<Token>(total_tokens);
-  const uint64_t* token_offsets = cur->Array<uint64_t>(dom_size + 1);
-  uint64_t text_bytes = 0;
-  if (!cur->ok() || !cur->ReadU64(&text_bytes)) return Truncated();
-  const char* text_blob = cur->Array<char>(text_bytes);
-  const uint64_t* text_offsets = cur->Array<uint64_t>(dom_size + 1);
-  const int32_t* freqs = cur->Array<int32_t>(dom_size);
-  if (!cur->ok()) return Truncated();
-
-  dom.tokens.clear();
-  dom.tokens.reserve(dom_size);
-  for (uint64_t v = 0; v < dom_size; ++v) {
-    if (token_offsets[v] > token_offsets[v + 1] ||
-        token_offsets[v + 1] > total_tokens ||
-        text_offsets[v] > text_offsets[v + 1] ||
-        text_offsets[v + 1] > text_bytes) {
-      return Status::InvalidArgument("snapshot domain offsets corrupt");
-    }
-    const Token* run = token_ids + token_offsets[v];
-    const size_t run_len = token_offsets[v + 1] - token_offsets[v];
-    TERIDS_RETURN_IF_ERROR(
-        ValidateTokenRun(run, run_len, dict_tokens_, "domain"));
-    dom.tokens.push_back(TokenSet::View(run, run_len));
-  }
-  dom.text_blob = text_blob;
-  dom.text_offsets = text_offsets;
-  dom.freqs = freqs;
-  *dom_size_out = dom_size;
-  return Status::Ok();
-}
-
-Status MmapSnapshotStorage::ParseSamplesBlock(snapshot::Cursor* cur) const {
-  const size_t n = base_samples_;
-  const int64_t* rids = cur->Array<int64_t>(n);
-  const int32_t* streams = cur->Array<int32_t>(n);
-  const int64_t* timestamps = cur->Array<int64_t>(n);
-  const uint32_t* vids = cur->Array<uint32_t>(n * static_cast<size_t>(d_));
-  uint64_t text_bytes = 0;
-  if (!cur->ok() || !cur->ReadU64(&text_bytes)) return Truncated();
-  const char* texts = cur->Array<char>(text_bytes);
-  const uint64_t* text_offsets =
-      cur->Array<uint64_t>(n * static_cast<size_t>(d_) + 1);
-  if (!cur->ok()) return Truncated();
-
-  std::vector<Record> records;
-  records.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    Record r;
-    r.rid = rids[i];
-    r.stream_id = streams[i];
-    r.timestamp = timestamps[i];
-    r.values.resize(static_cast<size_t>(d_));
-    for (int x = 0; x < d_; ++x) {
-      const size_t cell = i * static_cast<size_t>(d_) + x;
-      const ValueId vid = vids[cell];
-      if (vid >= base_[x].size || text_offsets[cell] > text_offsets[cell + 1] ||
-          text_offsets[cell + 1] > text_bytes) {
-        return Status::InvalidArgument("snapshot sample table corrupt");
-      }
-      AttrValue& v = r.values[x];
-      v.missing = false;
-      v.tokens = base_[x].tokens[vid];
-      v.text.assign(texts + text_offsets[cell], texts + text_offsets[cell + 1]);
-    }
-    records.push_back(std::move(r));
-  }
-  base_records_ = std::move(records);
-  base_sample_vids_ = vids;
-  return Status::Ok();
-}
-
 void MmapSnapshotStorage::BuildFindIndex(int attr) const {
   BaseDomain& dom = base_[attr];
   dom.by_hash.reserve(dom.size);
@@ -214,65 +132,7 @@ void MmapSnapshotStorage::BuildFindIndex(int attr) const {
 }
 
 // ---------------------------------------------------------------------------
-// v1: monolithic payload, always decoded eagerly at open
-// ---------------------------------------------------------------------------
-
-Status MmapSnapshotStorage::ParseV1(const snapshot::Header& header) {
-  if (snapshot::Checksum(payload_, payload_len_) != header.payload_checksum) {
-    return Status::InvalidArgument("snapshot payload checksum mismatch");
-  }
-  snapshot::Cursor cur(payload_, payload_len_);
-
-  // ---- Domains ---------------------------------------------------------
-  for (int x = 0; x < d_; ++x) {
-    uint64_t dom_size = 0;
-    TERIDS_RETURN_IF_ERROR(ParseDomainBlock(&cur, x, &dom_size));
-    base_[x].size = dom_size;
-    BuildFindIndex(x);
-  }
-
-  // ---- Pivot geometry --------------------------------------------------
-  if (has_pivots_) {
-    pivots_.resize(static_cast<size_t>(d_));
-    for (int x = 0; x < d_; ++x) {
-      uint64_t np = 0;
-      if (!cur.ReadU64(&np)) return Truncated();
-      if (np == 0) {
-        return Status::InvalidArgument("snapshot attribute has zero pivots");
-      }
-      num_pivots_[x] = static_cast<int>(np);
-      for (uint64_t a = 0; a < np; ++a) {
-        uint64_t ntokens = 0;
-        if (!cur.ReadU64(&ntokens)) return Truncated();
-        const Token* ptokens = cur.Array<Token>(ntokens);
-        if (!cur.ok()) return Truncated();
-        TERIDS_RETURN_IF_ERROR(
-            ValidateTokenRun(ptokens, ntokens, dict_tokens_, "pivot"));
-        pivots_[x].pivots.push_back(TokenSet::View(ptokens, ntokens));
-      }
-    }
-    for (int x = 0; x < d_; ++x) {
-      base_[x].dists.resize(pivots_[x].pivots.size());
-      for (size_t a = 0; a < pivots_[x].pivots.size(); ++a) {
-        base_[x].dists[a] = cur.Array<double>(base_[x].size);
-      }
-    }
-    for (int x = 0; x < d_; ++x) {
-      base_[x].coord_keys = cur.Array<double>(base_[x].size);
-      base_[x].coord_vids = cur.Array<uint32_t>(base_[x].size);
-    }
-    if (!cur.ok()) return Truncated();
-  }
-
-  // ---- Samples ---------------------------------------------------------
-  TERIDS_RETURN_IF_ERROR(ParseSamplesBlock(&cur));
-
-  decoded_all_ = true;
-  return Status::Ok();
-}
-
-// ---------------------------------------------------------------------------
-// v2: TOC at open, per-section decode on first touch (or forced at open)
+// TOC at open, per-section decode on first touch (or forced at open)
 // ---------------------------------------------------------------------------
 
 Status MmapSnapshotStorage::ParseToc(const snapshot::Header& header) {
@@ -355,13 +215,46 @@ Status MmapSnapshotStorage::DecodeDomain(int attr) const {
         "snapshot domain section checksum mismatch (attribute " +
         std::to_string(attr) + ")");
   }
+  // The parsed size is checked against the TOC instead of written to
+  // BaseDomain::size: under lazy decode that field is read concurrently by
+  // domain_size() and must only ever be written at open.
   snapshot::Cursor cur(payload_ + e.offset, e.bytes);
+  BaseDomain& dom = base_[attr];
   uint64_t dom_size = 0;
-  TERIDS_RETURN_IF_ERROR(ParseDomainBlock(&cur, attr, &dom_size));
+  uint64_t total_tokens = 0;
+  if (!cur.ReadU64(&dom_size)) return Truncated();
   if (dom_size != e.aux) {
     return Status::InvalidArgument(
         "snapshot domain section size disagrees with TOC");
   }
+  if (!cur.ReadU64(&total_tokens)) return Truncated();
+  const Token* token_ids = cur.Array<Token>(total_tokens);
+  const uint64_t* token_offsets = cur.Array<uint64_t>(dom_size + 1);
+  uint64_t text_bytes = 0;
+  if (!cur.ok() || !cur.ReadU64(&text_bytes)) return Truncated();
+  const char* text_blob = cur.Array<char>(text_bytes);
+  const uint64_t* text_offsets = cur.Array<uint64_t>(dom_size + 1);
+  const int32_t* freqs = cur.Array<int32_t>(dom_size);
+  if (!cur.ok()) return Truncated();
+
+  dom.tokens.clear();
+  dom.tokens.reserve(dom_size);
+  for (uint64_t v = 0; v < dom_size; ++v) {
+    if (token_offsets[v] > token_offsets[v + 1] ||
+        token_offsets[v + 1] > total_tokens ||
+        text_offsets[v] > text_offsets[v + 1] ||
+        text_offsets[v + 1] > text_bytes) {
+      return Status::InvalidArgument("snapshot domain offsets corrupt");
+    }
+    const Token* run = token_ids + token_offsets[v];
+    const size_t run_len = token_offsets[v + 1] - token_offsets[v];
+    TERIDS_RETURN_IF_ERROR(
+        ValidateTokenRun(run, run_len, dict_tokens_, "domain"));
+    dom.tokens.push_back(TokenSet::View(run, run_len));
+  }
+  dom.text_blob = text_blob;
+  dom.text_offsets = text_offsets;
+  dom.freqs = freqs;
   return Status::Ok();
 }
 
@@ -417,6 +310,15 @@ Status MmapSnapshotStorage::DecodeGeometry(int attr) const {
   const double* coord_keys = cur.Array<double>(dom_size);
   const uint32_t* coord_vids = cur.Array<uint32_t>(dom_size);
   if (!cur.ok()) return Truncated();
+  // Coordinate-range scans hand these ids straight to the domain readers.
+  for (uint64_t i = 0; i < dom_size; ++i) {
+    if (coord_vids[i] >= dom_size) {
+      return Status::InvalidArgument(
+          "snapshot coordinate list names a ValueId outside the domain "
+          "(attribute " +
+          std::to_string(attr) + ")");
+    }
+  }
   dom.dists = std::move(dists);
   dom.coord_keys = coord_keys;
   dom.coord_vids = coord_vids;
@@ -430,7 +332,43 @@ Status MmapSnapshotStorage::DecodeSamples() const {
         "snapshot samples section checksum mismatch");
   }
   snapshot::Cursor cur(payload_ + e.offset, e.bytes);
-  return ParseSamplesBlock(&cur);
+  const size_t n = base_samples_;
+  const int64_t* rids = cur.Array<int64_t>(n);
+  const int32_t* streams = cur.Array<int32_t>(n);
+  const int64_t* timestamps = cur.Array<int64_t>(n);
+  const uint32_t* vids = cur.Array<uint32_t>(n * static_cast<size_t>(d_));
+  uint64_t text_bytes = 0;
+  if (!cur.ok() || !cur.ReadU64(&text_bytes)) return Truncated();
+  const char* texts = cur.Array<char>(text_bytes);
+  const uint64_t* text_offsets =
+      cur.Array<uint64_t>(n * static_cast<size_t>(d_) + 1);
+  if (!cur.ok()) return Truncated();
+
+  std::vector<Record> records;
+  records.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    Record r;
+    r.rid = rids[i];
+    r.stream_id = streams[i];
+    r.timestamp = timestamps[i];
+    r.values.resize(static_cast<size_t>(d_));
+    for (int x = 0; x < d_; ++x) {
+      const size_t cell = i * static_cast<size_t>(d_) + x;
+      const ValueId vid = vids[cell];
+      if (vid >= base_[x].size || text_offsets[cell] > text_offsets[cell + 1] ||
+          text_offsets[cell + 1] > text_bytes) {
+        return Status::InvalidArgument("snapshot sample table corrupt");
+      }
+      AttrValue& v = r.values[x];
+      v.missing = false;
+      v.tokens = base_[x].tokens[vid];
+      v.text.assign(texts + text_offsets[cell], texts + text_offsets[cell + 1]);
+    }
+    records.push_back(std::move(r));
+  }
+  base_records_ = std::move(records);
+  base_sample_vids_ = vids;
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -493,12 +431,10 @@ Status MmapSnapshotStorage::Parse(int num_attributes, const TokenDict* dict,
   if (std::memcmp(header.magic, snapshot::kMagic, sizeof(header.magic)) != 0) {
     return Status::InvalidArgument("snapshot magic mismatch (not a snapshot)");
   }
-  if (header.version != snapshot::kVersion &&
-      header.version != snapshot::kVersionEager) {
+  if (header.version != snapshot::kVersion) {
     return Status::InvalidArgument(
         "snapshot version " + std::to_string(header.version) +
-        " unsupported (expected " + std::to_string(snapshot::kVersionEager) +
-        " or " + std::to_string(snapshot::kVersion) + ")");
+        " unsupported (expected " + std::to_string(snapshot::kVersion) + ")");
   }
   if (header.num_attributes != static_cast<uint32_t>(num_attributes)) {
     return Status::FailedPrecondition(
@@ -515,9 +451,12 @@ Status MmapSnapshotStorage::Parse(int num_attributes, const TokenDict* dict,
   if (header.payload_bytes != payload_len_) {
     return Status::InvalidArgument("snapshot payload truncated");
   }
+  if (header.has_pivots == 0) {
+    return Status::InvalidArgument(
+        "snapshot without pivot geometry unsupported");
+  }
 
   d_ = num_attributes;
-  has_pivots_ = header.has_pivots != 0;
   base_samples_ = header.num_samples;
   dict_tokens_ = header.dict_tokens;
   base_.resize(static_cast<size_t>(d_));
@@ -526,39 +465,29 @@ Status MmapSnapshotStorage::Parse(int num_attributes, const TokenDict* dict,
   find_once_ = std::make_unique<std::once_flag[]>(static_cast<size_t>(d_));
   geometry_once_ = std::make_unique<std::once_flag[]>(static_cast<size_t>(d_));
 
-  if (header.version == snapshot::kVersionEager) {
-    // v1's single whole-payload checksum forces a full read; the decode
-    // knob is moot.
-    TERIDS_RETURN_IF_ERROR(ParseV1(header));
-  } else {
-    if (!has_pivots_) {
-      return Status::InvalidArgument(
-          "v2 snapshot without pivot geometry unsupported");
+  TERIDS_RETURN_IF_ERROR(ParseToc(header));
+  if (decode == SnapshotDecode::kEager) {
+    // Force every section through the same decode the lazy path runs on
+    // first touch, so corruption fails the open and the materialized state
+    // is identical by construction.
+    for (int x = 0; x < d_; ++x) {
+      TERIDS_RETURN_IF_ERROR(DecodeDomain(x));
     }
-    TERIDS_RETURN_IF_ERROR(ParseToc(header));
-    if (decode == SnapshotDecode::kEager) {
-      // Force every section through the same decode the lazy path runs on
-      // first touch, so corruption fails the open and the materialized
-      // state is identical by construction.
-      for (int x = 0; x < d_; ++x) {
-        TERIDS_RETURN_IF_ERROR(DecodeDomain(x));
-      }
-      for (int x = 0; x < d_; ++x) {
-        BuildFindIndex(x);
-      }
-      TERIDS_RETURN_IF_ERROR(DecodePivotTokens());
-      for (int x = 0; x < d_; ++x) {
-        TERIDS_RETURN_IF_ERROR(DecodeGeometry(x));
-      }
-      TERIDS_RETURN_IF_ERROR(DecodeSamples());
-      decoded_all_ = true;
+    for (int x = 0; x < d_; ++x) {
+      BuildFindIndex(x);
     }
+    TERIDS_RETURN_IF_ERROR(DecodePivotTokens());
+    for (int x = 0; x < d_; ++x) {
+      TERIDS_RETURN_IF_ERROR(DecodeGeometry(x));
+    }
+    TERIDS_RETURN_IF_ERROR(DecodeSamples());
+    decoded_all_ = true;
   }
 
   // ---- Overlay scaffolding --------------------------------------------
   overlay_.resize(static_cast<size_t>(d_));
   for (int x = 0; x < d_; ++x) {
-    overlay_[x].dists.resize(has_pivots_ ? num_pivots_[x] : 0);
+    overlay_[x].dists.resize(static_cast<size_t>(num_pivots_[x]));
   }
   return Status::Ok();
 }
@@ -664,14 +593,12 @@ ValueId MmapSnapshotStorage::sample_value_id(size_t i, int attr) const {
 }
 
 int MmapSnapshotStorage::num_pivots(int attr) const {
-  TERIDS_CHECK(has_pivots_);
   TERIDS_CHECK(attr >= 0 && attr < d_);
   return num_pivots_[attr];
 }
 
 const TokenSet& MmapSnapshotStorage::pivot_tokens(int attr,
                                                   int pivot_idx) const {
-  TERIDS_CHECK(has_pivots_);
   TERIDS_CHECK(attr >= 0 && attr < d_);
   TERIDS_CHECK(pivot_idx >= 0 && pivot_idx < num_pivots(attr));
   EnsurePivotTokens();
@@ -680,7 +607,6 @@ const TokenSet& MmapSnapshotStorage::pivot_tokens(int attr,
 
 double MmapSnapshotStorage::pivot_distance(int attr, int pivot_idx,
                                            ValueId vid) const {
-  TERIDS_CHECK(has_pivots_);
   TERIDS_CHECK(attr >= 0 && attr < d_);
   TERIDS_CHECK(pivot_idx >= 0 && pivot_idx < num_pivots(attr));
   const BaseDomain& dom = base_[attr];
@@ -696,7 +622,6 @@ double MmapSnapshotStorage::pivot_distance(int attr, int pivot_idx,
 
 void MmapSnapshotStorage::AppendValuesInCoordRange(
     int attr, const Interval& interval, std::vector<ValueId>* out) const {
-  TERIDS_CHECK(has_pivots_);
   TERIDS_CHECK(attr >= 0 && attr < d_);
   if (interval.empty()) {
     return;
@@ -741,9 +666,7 @@ ValueId MmapSnapshotStorage::RegisterValue(int attr, const TokenSet& tokens,
                                            const std::string& text) {
   TERIDS_CHECK(attr >= 0 && attr < d_);
   EnsureFindIndex(attr);
-  if (has_pivots_) {
-    EnsurePivotTokens();
-  }
+  EnsurePivotTokens();
   const BaseDomain& dom = base_[attr];
   // Base values are immutable and deduplicated; only a genuinely new token
   // set lands in the overlay.
@@ -760,7 +683,7 @@ ValueId MmapSnapshotStorage::RegisterValue(int attr, const TokenSet& tokens,
   const size_t before = over.extra.size();
   const ValueId local = over.extra.FindOrAdd(tokens, text);
   const ValueId global = static_cast<ValueId>(dom.size) + local;
-  if (over.extra.size() != before && has_pivots_) {
+  if (over.extra.size() != before) {
     const size_t np = pivots_[attr].pivots.size();
     for (size_t a = 0; a < np; ++a) {
       over.dists[a].push_back(

@@ -25,26 +25,19 @@ namespace snapshot {
 /// preceded by padding to 8-byte alignment so doubles and 64-bit offsets
 /// can be read in place. Integers are host-endian: the snapshot is a local
 /// cache artifact regenerated from the source data, not an interchange
-/// format. The header carries a version (bumped on any layout change).
+/// format. The header carries a version (bumped on any layout change); a
+/// reader accepts exactly kVersion and refuses any other.
 ///
-/// **v1** (kVersionEager): the payload is one monolithic blob —
-/// per-attribute domains, pivot tokens, distance columns, coordinate
-/// lists, samples — and `payload_checksum` is the FNV-1a over all of it,
-/// verified at open before any byte is trusted. Opening therefore reads
-/// the whole file.
-///
-/// **v2** (kVersion, the current writer output): the payload begins with a
-/// section TOC — a u64 section count followed by SectionEntry records —
-/// and `payload_checksum` covers only those TOC bytes. Each section
-/// carries its own FNV-1a checksum in its TOC entry, verified when that
-/// section is first decoded, so a cold open validates O(header + TOC)
-/// bytes and touches nothing else (DESIGN.md §8: the lazy zero-copy
-/// decode). Sections are 8-aligned and self-describing; `aux` caches the
-/// one size a reader needs before decoding (domain size, pivot count,
-/// sample count).
+/// The payload begins with a section TOC — a u64 section count followed
+/// by SectionEntry records — and `payload_checksum` covers only those TOC
+/// bytes. Each section carries its own FNV-1a checksum in its TOC entry,
+/// verified when that section is first decoded, so a cold open validates
+/// O(header + TOC) bytes and touches nothing else (DESIGN.md §8: the lazy
+/// zero-copy decode). Sections are 8-aligned and self-describing; `aux`
+/// caches the one size a reader needs before decoding (domain size, pivot
+/// count, sample count).
 inline constexpr char kMagic[8] = {'T', 'E', 'R', 'I', 'D', 'S', 'N', 'P'};
-inline constexpr uint32_t kVersionEager = 1;  // legacy whole-payload checksum
-inline constexpr uint32_t kVersion = 2;       // section TOC + lazy decode
+inline constexpr uint32_t kVersion = 2;  // section TOC + lazy decode
 
 struct Header {
   char magic[8];
@@ -53,13 +46,13 @@ struct Header {
   uint64_t num_samples;
   uint64_t dict_tokens;  // TokenDict size at write; every token id is < this.
   uint64_t payload_bytes;
-  uint64_t payload_checksum;  // v1: FNV-1a over the payload; v2: over the TOC.
+  uint64_t payload_checksum;  // FNV-1a over the TOC bytes.
   uint8_t has_pivots;
   uint8_t reserved[7];
 };
 static_assert(sizeof(Header) == 56, "snapshot header layout drifted");
 
-/// v2 section kinds, in their required TOC order: one kDomain per
+/// Section kinds, in their required TOC order: one kDomain per
 /// attribute, one kPivotTokens, one kGeometry per attribute, one kSamples.
 enum class SectionKind : uint64_t {
   kDomain = 1,       // token ids+offsets, text blob+offsets, frequencies
@@ -68,7 +61,7 @@ enum class SectionKind : uint64_t {
   kSamples = 4,      // rids, streams, timestamps, ValueIds, cell texts
 };
 
-/// One v2 TOC record. `offset` is relative to the payload start (the byte
+/// One TOC record. `offset` is relative to the payload start (the byte
 /// after the header) and 8-aligned; `checksum` is the FNV-1a over the
 /// section's `bytes`, verified on first decode of that section. `aux` is
 /// kind-specific metadata served without decoding the section: the domain

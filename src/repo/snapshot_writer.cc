@@ -75,9 +75,16 @@ void AppendPivotTokens(const Repository& repo, snapshot::Builder* out) {
   }
 }
 
-void AppendDistColumns(const Repository& repo, int attr,
-                       snapshot::Builder* out) {
+/// Per-attribute geometry section: a self-describing (dom, np) prefix,
+/// then the pivot-distance columns and the sorted main-pivot coordinate
+/// list (parallel key and vid columns) for this attribute only, so a lazy
+/// reader can decode one attribute's geometry without touching any other
+/// section.
+void AppendGeometrySection(const Repository& repo, int attr,
+                           snapshot::Builder* out) {
   const size_t dom = repo.domain_size(attr);
+  out->AppendU64(dom);
+  out->AppendU64(static_cast<uint64_t>(repo.num_pivots(attr)));
   std::vector<double> dists(dom);
   for (int a = 0; a < repo.num_pivots(attr); ++a) {
     for (ValueId v = 0; v < dom; ++v) {
@@ -85,12 +92,6 @@ void AppendDistColumns(const Repository& repo, int attr,
     }
     out->AppendArray(dists.data(), dists.size());
   }
-}
-
-void AppendCoordLists(const Repository& repo, int attr,
-                      snapshot::Builder* out) {
-  // Sorted main-pivot coordinate list, as parallel (key, vid) columns.
-  const size_t dom = repo.domain_size(attr);
   std::vector<std::pair<double, ValueId>> coords;
   coords.reserve(dom);
   for (ValueId v = 0; v < dom; ++v) {
@@ -105,18 +106,6 @@ void AppendCoordLists(const Repository& repo, int attr,
   }
   out->AppendArray(keys.data(), keys.size());
   out->AppendArray(vids.data(), vids.size());
-}
-
-/// v2 per-attribute geometry section: a self-describing (dom, np) prefix,
-/// then the pivot-distance columns and the sorted coordinate lists for
-/// this attribute only, so a lazy reader can decode one attribute's
-/// geometry without touching any other section.
-void AppendGeometrySection(const Repository& repo, int attr,
-                           snapshot::Builder* out) {
-  out->AppendU64(repo.domain_size(attr));
-  out->AppendU64(static_cast<uint64_t>(repo.num_pivots(attr)));
-  AppendDistColumns(repo, attr, out);
-  AppendCoordLists(repo, attr, out);
 }
 
 void AppendSamples(const Repository& repo, snapshot::Builder* out) {
@@ -155,25 +144,6 @@ void AppendSamples(const Repository& repo, snapshot::Builder* out) {
   out->AppendArray(text_offsets.data(), text_offsets.size());
 }
 
-/// v1 monolithic payload: domains, pivot tokens, every attribute's
-/// distance columns, every attribute's coordinate lists, samples.
-std::string BuildPayloadV1(const Repository& repo) {
-  snapshot::Builder payload;
-  const int d = repo.num_attributes();
-  for (int x = 0; x < d; ++x) {
-    AppendDomain(repo, x, &payload);
-  }
-  AppendPivotTokens(repo, &payload);
-  for (int x = 0; x < d; ++x) {
-    AppendDistColumns(repo, x, &payload);
-  }
-  for (int x = 0; x < d; ++x) {
-    AppendCoordLists(repo, x, &payload);
-  }
-  AppendSamples(repo, &payload);
-  return payload.bytes();
-}
-
 struct SectionBlob {
   snapshot::SectionKind kind;
   uint64_t attr;
@@ -183,11 +153,9 @@ struct SectionBlob {
 
 uint64_t Align8(uint64_t n) { return (n + 7) / 8 * 8; }
 
-/// v2 payload: TOC (count + entries), then each section at its 8-aligned
-/// offset. Section contents reuse the v1 encoders, so the bytes inside a
-/// domain or samples section are identical across versions; only the
-/// framing (and the per-attribute geometry regrouping) differs.
-std::string BuildPayloadV2(const Repository& repo, uint64_t* toc_checksum) {
+/// Payload: TOC (count + entries), then each section at its 8-aligned
+/// offset.
+std::string BuildPayload(const Repository& repo, uint64_t* toc_checksum) {
   const int d = repo.num_attributes();
   std::vector<SectionBlob> sections;
   sections.reserve(2 * static_cast<size_t>(d) + 2);
@@ -315,16 +283,6 @@ std::string UniqueSnapshotPath(const std::string& prefix) {
 
 Status WriteRepositorySnapshot(const Repository& repo,
                                const std::string& path) {
-  return WriteRepositorySnapshot(repo, path, snapshot::kVersion);
-}
-
-Status WriteRepositorySnapshot(const Repository& repo, const std::string& path,
-                               uint32_t format_version) {
-  if (format_version != snapshot::kVersion &&
-      format_version != snapshot::kVersionEager) {
-    return Status::InvalidArgument("unsupported snapshot format version: " +
-                                   std::to_string(format_version));
-  }
   if (!repo.has_pivots()) {
     // Nothing in the snapshot's geometry sections would be meaningful, and
     // the read-only backend cannot run AttachPivots later.
@@ -333,18 +291,12 @@ Status WriteRepositorySnapshot(const Repository& repo, const std::string& path,
   }
 
   uint64_t checksum = 0;
-  std::string payload;
-  if (format_version == snapshot::kVersion) {
-    payload = BuildPayloadV2(repo, &checksum);
-  } else {
-    payload = BuildPayloadV1(repo);
-    checksum = snapshot::Checksum(payload.data(), payload.size());
-  }
+  const std::string payload = BuildPayload(repo, &checksum);
 
   snapshot::Header header;
   std::memset(&header, 0, sizeof(header));
   std::memcpy(header.magic, snapshot::kMagic, sizeof(header.magic));
-  header.version = format_version;
+  header.version = snapshot::kVersion;
   header.num_attributes = static_cast<uint32_t>(repo.num_attributes());
   header.num_samples = repo.num_samples();
   header.dict_tokens = repo.dict().size();

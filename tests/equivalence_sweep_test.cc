@@ -7,11 +7,10 @@
 //    changes cost, never results — checked over a grid of query
 //    parameters rather than a single configuration.
 // 2. Across every datagen profile and (batch_size, refine_threads,
-//    ingest_queue_depth, signature_filter, sched_threads, sig_width)
-//    combination, the batched / parallel / async-ingest operator
-//    (ProcessStream over ProcessBatch + RefinementExecutor + BatchQueue,
-//    fanned out on the Scheduler, with signatures at any supported width)
-//    must be bit-identical to one-at-a-time ProcessArrival: same
+//    ingest_queue_depth, signature_filter, sched_threads) combination, the
+//    batched / parallel / async-ingest operator (ProcessStream over
+//    ProcessBatch + RefinementExecutor + BatchQueue, fanned out on the
+//    Scheduler) must be bit-identical to one-at-a-time ProcessArrival: same
 //    per-arrival matches in the same order, same final MatchSet, same
 //    cumulative PruneStats.
 
@@ -83,8 +82,8 @@ INSTANTIATE_TEST_SUITE_P(
 // --- Batched / parallel / async operator equivalence -----------------------
 
 // profile, batch, refine_threads, ingest_queue_depth, signature_filter,
-// sched_threads, sig_width
-using BatchCombo = std::tuple<std::string, int, int, int, bool, int, int>;
+// sched_threads
+using BatchCombo = std::tuple<std::string, int, int, int, bool, int>;
 
 class BatchEquivalenceSweepTest
     : public ::testing::TestWithParam<BatchCombo> {};
@@ -136,8 +135,8 @@ ReplayResult Replay(const Experiment& experiment, PipelineKind kind,
 
 // Deliberately compares only the outcome counters: the sig_* observability
 // counters (sig_probes / sig_saturated / sig_rejects) legitimately vary
-// with signature_filter and sig_width — they count filter work, not
-// results — so they are excluded from the bit-identity contract.
+// with signature_filter — they count filter work, not results — so they
+// are excluded from the bit-identity contract.
 void ExpectSameReplay(const ReplayResult& got, const ReplayResult& want,
                       const std::string& label) {
   EXPECT_EQ(got.emitted, want.emitted) << label;
@@ -164,7 +163,7 @@ void ExpectSameReplay(const ReplayResult& got, const ReplayResult& want,
 
 TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
   const auto [profile, batch_size, refine_threads, queue_depth,
-              signature_filter, sched_threads, sig_width] = GetParam();
+              signature_filter, sched_threads] = GetParam();
   Experiment experiment(ProfileByName(profile), SweepParams(profile));
 
   // The TER-iDS engine covers grid candidates + the pruning cascade (and,
@@ -176,8 +175,7 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
   for (PipelineKind kind :
        {PipelineKind::kTerIds, PipelineKind::kConstraintEr}) {
     // The oracle is the synchronous sequential operator: one-at-a-time,
-    // no scheduler, signature filter off (plain merges everywhere) at the
-    // seed's 64-bit width.
+    // no scheduler, signature filter off (plain merges everywhere).
     EngineConfig config = experiment.MakeConfig();
     config.signature_filter = false;
     std::unique_ptr<Repository> oracle_repo = experiment.BuildRepository();
@@ -189,7 +187,6 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
     config.ingest_queue_depth = queue_depth;
     config.signature_filter = signature_filter;
     config.sched_threads = sched_threads;
-    config.sig_width = sig_width;
     std::unique_ptr<Repository> repo = experiment.BuildRepository();
     ExpectSameReplay(Replay(experiment, kind, repo.get(), config), sequential,
                      profile + " " + PipelineKindName(kind));
@@ -205,8 +202,8 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
 // exercises the full read path (domains, pivot tables, coordinate scans,
 // DR-index build over samples); con+ER additionally exercises the dynamic
 // overlay, because its imputer registers stream values into the domains
-// after the snapshot was opened. The mmap backend runs under both v2
-// decode modes: kEager (everything materialized at open, the v1-equivalent
+// after the snapshot was opened. The mmap backend runs under both decode
+// modes: kEager (everything materialized at open, the decode-at-open
 // oracle path) and kLazy (sections decode on first touch mid-replay), so
 // lazy first-touch decode is proven output-invariant on every profile.
 class RepoBackendEquivalenceTest
@@ -322,45 +319,36 @@ std::vector<BatchCombo> BatchCombos() {
     // The batch x threads matrix (synchronous ingest, signature filter on —
     // every profile exercises the signature kernel against the
     // sigfilter-off oracle); parallel refinement fans out on 3 workers.
-    combos.emplace_back(profile, 1, 4, 0, true, 3, 64);
-    combos.emplace_back(profile, 8, 1, 0, true, 0, 64);
-    combos.emplace_back(profile, 8, 4, 0, true, 3, 64);
+    combos.emplace_back(profile, 1, 4, 0, true, 3);
+    combos.emplace_back(profile, 8, 1, 0, true, 0);
+    combos.emplace_back(profile, 8, 4, 0, true, 3);
     // ...plus the everything-on configuration per profile: async kIngest
     // chain + parallel refinement + signature filter (the TSan job's main
-    // data-race surface), once on a single worker and once on four. The
-    // two runs split the wide-signature coverage between them: every
-    // profile replays everything-on at both 128 and 256 bits against the
-    // 64-bit sigfilter-off oracle.
-    combos.emplace_back(profile, 8, 4, 2, true, 1, 128);
-    combos.emplace_back(profile, 8, 4, 2, true, 4, 256);
+    // data-race surface), once on a single worker and once on four.
+    combos.emplace_back(profile, 8, 4, 2, true, 1);
+    combos.emplace_back(profile, 8, 4, 2, true, 4);
   }
   // Scheduler axes in isolation (Citations): scheduler constructed but no
   // phase fans out; refinement fanning out alone; the kIngest chain alone
   // (batch 8 and batch 1); the two-worker edge of the caller-participation
   // discipline under the everything-on load; and sigfilter-off against the
   // sigfilter-off oracle, synchronous and async.
-  combos.emplace_back("Citations", 1, 1, 0, true, 4, 64);
-  combos.emplace_back("Citations", 8, 4, 0, true, 4, 64);
-  combos.emplace_back("Citations", 8, 1, 2, true, 4, 64);
+  combos.emplace_back("Citations", 1, 1, 0, true, 4);
+  combos.emplace_back("Citations", 8, 4, 0, true, 4);
+  combos.emplace_back("Citations", 8, 1, 2, true, 4);
   // chain, batch 1
-  combos.emplace_back("Citations", 1, 1, 2, true, 4, 64);
-  combos.emplace_back("Citations", 8, 4, 2, true, 2, 64);
-  combos.emplace_back("Citations", 8, 4, 0, false, 3, 64);
-  combos.emplace_back("Citations", 8, 4, 2, false, 4, 64);
-  combos.emplace_back("Bikes", 8, 4, 2, false, 4, 64);
-  // Signature filter and sig_width in isolation (Citations, everything
-  // else sequential): the filter at 64 bits, wide signatures + filter
-  // against the 64-bit sigfilter-off oracle, plus a sigfilter-off run at
-  // 256 bits (widths must be inert with the filter off). The
-  // parallel-refinement combos additionally route the wide widths through
-  // the executor's batched prefilter.
-  combos.emplace_back("Citations", 1, 1, 0, true, 0, 64);
-  combos.emplace_back("Citations", 1, 1, 0, true, 0, 128);
-  combos.emplace_back("Citations", 1, 1, 0, true, 0, 256);
-  combos.emplace_back("Citations", 1, 1, 0, false, 0, 256);
-  combos.emplace_back("Citations", 1, 4, 0, true, 2, 256);
-  combos.emplace_back("Citations", 8, 4, 0, true, 2, 128);
-  combos.emplace_back("EBooks", 8, 4, 0, true, 3, 256);
+  combos.emplace_back("Citations", 1, 1, 2, true, 4);
+  combos.emplace_back("Citations", 8, 4, 2, true, 2);
+  combos.emplace_back("Citations", 8, 4, 0, false, 3);
+  combos.emplace_back("Citations", 8, 4, 2, false, 4);
+  combos.emplace_back("Bikes", 8, 4, 2, false, 4);
+  // The signature filter in isolation (Citations, everything else
+  // sequential), a replay of the oracle configuration itself, and the
+  // filter through the executor's batched prefilter on two workers.
+  combos.emplace_back("Citations", 1, 1, 0, true, 0);
+  combos.emplace_back("Citations", 1, 1, 0, false, 0);
+  combos.emplace_back("Citations", 1, 4, 0, true, 2);
+  combos.emplace_back("Citations", 8, 4, 0, true, 2);
   return combos;
 }
 
@@ -376,9 +364,7 @@ INSTANTIATE_TEST_SUITE_P(AllProfiles, BatchEquivalenceSweepTest,
                                   (std::get<4>(info.param) ? "_sig1"
                                                            : "_sig0") +
                                   "_c" +
-                                  std::to_string(std::get<5>(info.param)) +
-                                  "_w" +
-                                  std::to_string(std::get<6>(info.param));
+                                  std::to_string(std::get<5>(info.param));
                          });
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -161,6 +162,65 @@ TEST(SnapshotStorageTest, MissingFileIsNotFound) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
+// ---------------------------------------------------------------------------
+// Byte surgery over a written snapshot. The TOC starts right after the
+// header: a u64 section count, then SectionEntry records. The helpers patch
+// entries and re-stamp the checksums the open path verifies, so a test can
+// corrupt exactly one integrity layer.
+// ---------------------------------------------------------------------------
+
+uint64_t ReadU64(const std::string& bytes, size_t at) {
+  uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+void WriteU64(std::string* bytes, size_t at, uint64_t v) {
+  std::memcpy(&(*bytes)[at], &v, sizeof(v));
+}
+
+/// Byte offset (in the file) of TOC entry `i`.
+size_t EntryAt(size_t i) {
+  return sizeof(snapshot::Header) + sizeof(uint64_t) +
+         i * sizeof(snapshot::SectionEntry);
+}
+
+/// File offset and length of section `i`'s body.
+size_t SectionStart(const std::string& bytes, size_t i) {
+  return sizeof(snapshot::Header) +
+         ReadU64(bytes, EntryAt(i) + offsetof(snapshot::SectionEntry, offset));
+}
+size_t SectionBytes(const std::string& bytes, size_t i) {
+  return ReadU64(bytes, EntryAt(i) + offsetof(snapshot::SectionEntry, bytes));
+}
+
+/// Re-stamps header.payload_checksum after a deliberate TOC edit (it covers
+/// exactly the TOC bytes), so the edit reaches the per-entry validation
+/// instead of tripping the TOC checksum first.
+void RestampTocChecksum(std::string* bytes) {
+  const uint64_t count = ReadU64(*bytes, sizeof(snapshot::Header));
+  const size_t toc_bytes =
+      sizeof(uint64_t) + count * sizeof(snapshot::SectionEntry);
+  WriteU64(bytes, offsetof(snapshot::Header, payload_checksum),
+           snapshot::Checksum(bytes->data() + sizeof(snapshot::Header),
+                              toc_bytes));
+}
+
+/// Re-stamps section `i`'s checksum after an edit to its body, then the TOC
+/// checksum over the changed entry, so the section parsers see the edited
+/// bytes instead of a checksum mismatch.
+void RestampSectionChecksum(std::string* bytes, size_t i) {
+  WriteU64(bytes, EntryAt(i) + offsetof(snapshot::SectionEntry, checksum),
+           snapshot::Checksum(bytes->data() + SectionStart(*bytes, i),
+                              SectionBytes(*bytes, i)));
+  RestampTocChecksum(bytes);
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
 class SnapshotCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -175,12 +235,11 @@ class SnapshotCorruptionTest : public ::testing::Test {
 
   void TearDown() override { std::remove(path_.c_str()); }
 
-  Status Reopen(const std::string& bytes) {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.close();
+  Status Reopen(const std::string& bytes,
+                SnapshotDecode decode = SnapshotDecode::kLazy) {
+    WriteFile(path_, bytes);
     Result<std::unique_ptr<Repository>> r = Repository::OpenSnapshot(
-        world_.schema.get(), world_.dict.get(), path_);
+        world_.schema.get(), world_.dict.get(), path_, decode);
     return r.ok() ? Status::Ok() : r.status();
   }
 
@@ -212,12 +271,53 @@ TEST_F(SnapshotCorruptionTest, BadMagicIsRejected) {
   EXPECT_NE(status.message().find("magic"), std::string::npos);
 }
 
-TEST_F(SnapshotCorruptionTest, FutureVersionIsRejected) {
+TEST_F(SnapshotCorruptionTest, MissingPivotGeometryIsRejected) {
+  // The backend serves pivot geometry unconditionally, so a header that
+  // claims none must not open.
   std::string corrupt = bytes_;
-  corrupt[8] = 99;  // Header.version low byte.
+  corrupt[offsetof(snapshot::Header, has_pivots)] = 0;
   const Status status = Reopen(corrupt);
   ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("version"), std::string::npos);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("pivot"), std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(SnapshotCorruptionTest, FutureVersionIsRejected) {
+  // Version 1 (the retired monolithic layout) is as unknown as any other.
+  for (const uint32_t version : {0u, 1u, 3u, 99u}) {
+    std::string corrupt = bytes_;
+    std::memcpy(&corrupt[offsetof(snapshot::Header, version)], &version,
+                sizeof(version));
+    const Status status = Reopen(corrupt);
+    ASSERT_FALSE(status.ok()) << "version " << version;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("version"), std::string::npos)
+        << status.ToString();
+  }
+}
+
+TEST_F(SnapshotCorruptionTest, OutOfRangeCoordValueIdFailsEagerOpen) {
+  // A geometry section whose checksums are valid but whose sorted
+  // coordinate list names a ValueId past the domain: the decode must reject
+  // it instead of handing the id to a range-scan consumer.
+  const size_t d = static_cast<size_t>(world_.repo->num_attributes());
+  const size_t geometry = d + 1;  // attribute 0's geometry section
+  const uint64_t dom = world_.repo->domain_size(0);
+  const uint64_t np = static_cast<uint64_t>(world_.repo->num_pivots(0));
+  ASSERT_GT(dom, 0u);
+  // (dom, np) prefix, np distance columns, the coordinate keys, then vids.
+  const size_t vids_at = SectionStart(bytes_, geometry) +
+                         2 * sizeof(uint64_t) + (np + 1) * dom * sizeof(double);
+  std::string corrupt = bytes_;
+  const uint32_t bad_vid = static_cast<uint32_t>(dom);
+  std::memcpy(&corrupt[vids_at], &bad_vid, sizeof(bad_vid));
+  RestampSectionChecksum(&corrupt, geometry);
+  const Status status = Reopen(corrupt, SnapshotDecode::kEager);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("ValueId"), std::string::npos)
+      << status.ToString();
 }
 
 TEST_F(SnapshotCorruptionTest, SchemaArityMismatchIsRejected) {
@@ -236,19 +336,98 @@ TEST_F(SnapshotCorruptionTest, ForeignDictionaryIsRejected) {
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 
+/// Reads every value the public Repository API serves, following each
+/// ValueId a range scan or a sample hands out back into the domain, the way
+/// engine consumers do. Returns a sink so the reads are not optimized away.
+double ServeEveryValue(const Repository& repo) {
+  double sink = 0.0;
+  const int d = repo.num_attributes();
+  const Interval everything =
+      Interval::Of(-std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::infinity());
+  for (int x = 0; x < d; ++x) {
+    for (ValueId v = 0; v < repo.domain_size(x); ++v) {
+      const TokenSet& tokens = repo.value_tokens(x, v);
+      sink += static_cast<double>(tokens.size());
+      sink += static_cast<double>(repo.value_text(x, v).size());
+      sink += repo.value_frequency(x, v);
+      sink += repo.FindValue(x, tokens);
+    }
+    for (int a = 0; a < repo.num_pivots(x); ++a) {
+      sink += static_cast<double>(repo.pivot_tokens(x, a).size());
+      for (ValueId v = 0; v < repo.domain_size(x); ++v) {
+        sink += repo.pivot_distance(x, a, v);
+      }
+    }
+    for (const ValueId v : repo.ValuesInCoordRange(x, everything)) {
+      sink += static_cast<double>(repo.value_tokens(x, v).size());
+    }
+  }
+  for (size_t i = 0; i < repo.num_samples(); ++i) {
+    const Record& r = repo.sample(i);
+    sink += static_cast<double>(r.rid);
+    for (int x = 0; x < d; ++x) {
+      sink += static_cast<double>(r.values[x].text.size());
+      sink += static_cast<double>(
+          repo.value_tokens(x, repo.sample_value_id(i, x)).size());
+    }
+  }
+  return sink;
+}
+
+TEST_F(SnapshotCorruptionTest, RandomSectionMutationsFailCleanlyOrServe) {
+  // A deterministic, seeded byte-mutation loop over the reader. Each case
+  // flips 1-3 random bytes inside one random section and re-stamps that
+  // section's checksum and the TOC checksum, so the section parsers (not
+  // the checksums) meet the bad bytes. An eager open must then either
+  // return a Status or yield a repository that serves every value without
+  // tripping a CHECK.
+  constexpr int kCases = 1500;
+  const uint64_t sections = ReadU64(bytes_, sizeof(snapshot::Header));
+  ASSERT_GT(sections, 0u);
+  Rng rng(20210620);
+  int rejected = 0;
+  int opened = 0;
+  for (int c = 0; c < kCases; ++c) {
+    std::string mutated = bytes_;
+    size_t section = 0;
+    do {
+      section = static_cast<size_t>(rng.NextBounded(sections));
+    } while (SectionBytes(mutated, section) == 0);
+    const size_t start = SectionStart(mutated, section);
+    const size_t len = SectionBytes(mutated, section);
+    const int flips = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int f = 0; f < flips; ++f) {
+      mutated[start + rng.NextBounded(len)] ^=
+          static_cast<char>(1 + rng.NextBounded(255));
+    }
+    RestampSectionChecksum(&mutated, section);
+    WriteFile(path_, mutated);
+    Result<std::unique_ptr<Repository>> r = Repository::OpenSnapshot(
+        world_.schema.get(), world_.dict.get(), path_, SnapshotDecode::kEager);
+    if (!r.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++opened;
+    const double sink = ServeEveryValue(**r);
+    (void)sink;
+  }
+  // Both outcomes occur, or the loop is not reaching the parsers.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(opened, 0);
+}
+
 // ---------------------------------------------------------------------------
-// v2 per-section integrity + lazy first-touch decode (DESIGN.md §8).
+// Per-section integrity + lazy first-touch decode (DESIGN.md §8).
 // ---------------------------------------------------------------------------
 
-/// Byte-surgery fixture over a v2 snapshot of the health world. The TOC
-/// starts right after the header: a u64 section count, then SectionEntry
-/// records. Helpers patch entries and re-stamp the checksums the open path
-/// verifies, so each test corrupts exactly one integrity layer.
+/// Byte-surgery fixture over a snapshot of the health world.
 class SnapshotV2Test : public ::testing::Test {
  protected:
   void SetUp() override {
     world_ = MakeHealthWorld();
-    path_ = TempPath("v2-lazy.snap");
+    path_ = TempPath("lazy.snap");
     ASSERT_TRUE(WriteRepositorySnapshot(*world_.repo, path_).ok());
     std::ifstream in(path_, std::ios::binary);
     bytes_.assign(std::istreambuf_iterator<char>(in),
@@ -259,38 +438,7 @@ class SnapshotV2Test : public ::testing::Test {
 
   void TearDown() override { std::remove(path_.c_str()); }
 
-  static uint64_t ReadU64(const std::string& bytes, size_t at) {
-    uint64_t v = 0;
-    std::memcpy(&v, bytes.data() + at, sizeof(v));
-    return v;
-  }
-
-  static void WriteU64(std::string* bytes, size_t at, uint64_t v) {
-    std::memcpy(&(*bytes)[at], &v, sizeof(v));
-  }
-
-  /// Byte offset (in the file) of TOC entry `i`.
-  static size_t EntryAt(size_t i) {
-    return sizeof(snapshot::Header) + sizeof(uint64_t) +
-           i * sizeof(snapshot::SectionEntry);
-  }
-
-  /// Re-stamps header.payload_checksum after a deliberate TOC edit (in v2
-  /// it covers exactly the TOC bytes), so the edit reaches the per-entry
-  /// validation instead of tripping the TOC checksum first.
-  static void RestampTocChecksum(std::string* bytes) {
-    const uint64_t count = ReadU64(*bytes, sizeof(snapshot::Header));
-    const size_t toc_bytes =
-        sizeof(uint64_t) + count * sizeof(snapshot::SectionEntry);
-    WriteU64(bytes, offsetof(snapshot::Header, payload_checksum),
-             snapshot::Checksum(bytes->data() + sizeof(snapshot::Header),
-                                toc_bytes));
-  }
-
-  void Rewrite(const std::string& bytes) {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  void Rewrite(const std::string& bytes) { WriteFile(path_, bytes); }
 
   Result<std::unique_ptr<Repository>> Open(SnapshotDecode decode) {
     return Repository::OpenSnapshot(world_.schema.get(), world_.dict.get(),
@@ -301,9 +449,7 @@ class SnapshotV2Test : public ::testing::Test {
   /// byte inside the body of the first domain section (attribute 0).
   std::string CorruptFirstDomainSection() {
     std::string corrupt = bytes_;
-    const uint64_t offset =
-        ReadU64(corrupt, EntryAt(0) + 2 * sizeof(uint64_t));
-    corrupt[sizeof(snapshot::Header) + offset + 5] ^= 0x20;
+    corrupt[SectionStart(corrupt, 0) + 5] ^= 0x20;
     return corrupt;
   }
 
@@ -344,7 +490,8 @@ TEST_F(SnapshotV2Test, CorruptSectionBodyDiesOnFirstLazyTouch) {
 
 TEST_F(SnapshotV2Test, TocOffsetOutOfBoundsRejectedAtOpen) {
   std::string corrupt = bytes_;
-  WriteU64(&corrupt, EntryAt(0) + 2 * sizeof(uint64_t), uint64_t{1} << 40);
+  WriteU64(&corrupt, EntryAt(0) + offsetof(snapshot::SectionEntry, offset),
+           uint64_t{1} << 40);
   RestampTocChecksum(&corrupt);
   Rewrite(corrupt);
   for (SnapshotDecode decode :
@@ -404,34 +551,6 @@ TEST_F(SnapshotV2Test, ConcurrentFirstTouchServesConsistentBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// v1 backward compatibility: old files stay readable, always eagerly.
-// ---------------------------------------------------------------------------
-
-TEST(SnapshotV1CompatTest, V1FileRoundTripsBitIdentically) {
-  GeneratedWorld world = MakeGeneratedWorld();
-  const std::string path = TempPath("v1compat.snap");
-  ASSERT_TRUE(
-      WriteRepositorySnapshot(*world.repo, path, snapshot::kVersionEager)
-          .ok());
-  {
-    std::ifstream in(path, std::ios::binary);
-    uint32_t version = 0;
-    in.seekg(8);
-    in.read(reinterpret_cast<char*>(&version), sizeof(version));
-    ASSERT_EQ(version, snapshot::kVersionEager);
-  }
-  // Lazy decode is requested, but v1 files always materialize at open —
-  // the request must not break them.
-  Result<std::unique_ptr<Repository>> reopened =
-      Repository::OpenSnapshot(world.dataset.schema.get(),
-                               world.dataset.dict.get(), path,
-                               SnapshotDecode::kLazy);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  ExpectBitIdenticalReads(*world.repo, **reopened);
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
 // Atomic write: a snapshot path either holds a complete snapshot or
 // nothing; temp files never survive.
 // ---------------------------------------------------------------------------
@@ -475,14 +594,6 @@ TEST(SnapshotWriterAtomicityTest, UnwritableTargetFailsCleanly) {
   const Status status = WriteRepositorySnapshot(
       *world.repo, TempPath("no-such-dir") + "/orphan.snap");
   EXPECT_FALSE(status.ok());
-}
-
-TEST(SnapshotWriterAtomicityTest, UnknownFormatVersionIsRejected) {
-  ToyWorld world = MakeHealthWorld();
-  const std::string path = TempPath("badversion.snap");
-  const Status status = WriteRepositorySnapshot(*world.repo, path, 7);
-  EXPECT_FALSE(status.ok());
-  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 // ---------------------------------------------------------------------------
