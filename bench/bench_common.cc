@@ -108,7 +108,6 @@ ExecKnobs EnvExecKnobs() {
   knobs.batch_size = EnvInt("TERIDS_BENCH_BATCH", 1, 1);
   knobs.refine_threads = EnvInt("TERIDS_BENCH_THREADS", 1, 1);
   knobs.ingest_queue_depth = EnvInt("TERIDS_BENCH_QUEUE", 0, 0);
-  knobs.signature_filter = EnvInt("TERIDS_BENCH_SIGFILTER", 1, 0) != 0;
   knobs.sched_threads = EnvInt("TERIDS_BENCH_SCHED", 0, 0);
   if (knobs.ingest_queue_depth > 0 && knobs.sched_threads == 0) {
     // Async ingest runs only as the Scheduler's kIngest chain.
@@ -145,7 +144,6 @@ ExperimentParams BaseParams(const std::string& dataset) {
   params.batch_size = knobs.batch_size;
   params.refine_threads = knobs.refine_threads;
   params.ingest_queue_depth = knobs.ingest_queue_depth;
-  params.signature_filter = knobs.signature_filter;
   params.sched_threads = knobs.sched_threads;
   params.repo_backend = knobs.repo_backend;
   params.snapshot_decode = knobs.snapshot_decode;
@@ -243,7 +241,6 @@ JsonReporter::Row& JsonReporter::AddKnobRow(const ExecKnobs& knobs) {
       .Num("batch_size", knobs.batch_size)
       .Num("refine_threads", knobs.refine_threads)
       .Num("ingest_queue_depth", knobs.ingest_queue_depth)
-      .Num("signature_filter", knobs.signature_filter ? 1 : 0)
       .Num("sched_threads", knobs.sched_threads)
       .Str("repo_backend", RepoBackendName(knobs.repo_backend))
       .Str("snapshot_decode", SnapshotDecodeName(knobs.snapshot_decode))
@@ -273,12 +270,10 @@ void PrintHeader(const std::string& figure, const std::string& title,
   std::printf(
       "defaults (Table 5, scaled): alpha=%.1f rho=%.1f xi=%.1f eta=%.1f "
       "w=%d m=%d scale=%.3f arrivals=%d bench_scale=%.2f batch=%d "
-      "threads=%d queue=%d sigfilter=%d sched=%d repo=%s "
-      "snapdecode=%s overload=%s\n",
+      "threads=%d queue=%d sched=%d repo=%s snapdecode=%s overload=%s\n",
       params.alpha, params.rho, params.xi, params.eta, params.w, params.m,
       params.scale, params.max_arrivals, EnvScale(), params.batch_size,
-      params.refine_threads, params.ingest_queue_depth,
-      params.signature_filter ? 1 : 0, params.sched_threads,
+      params.refine_threads, params.ingest_queue_depth, params.sched_threads,
       RepoBackendName(params.repo_backend),
       SnapshotDecodeName(params.snapshot_decode),
       OverloadPolicyName(params.overload_policy));

@@ -30,9 +30,8 @@ int EnvInt(const char* name, int fallback, int min_value);
 /// TERIDS_BENCH_THREADS / TERIDS_BENCH_QUEUE / TERIDS_BENCH_SCHED
 /// (defaults 1/1/0/0 = the classic one-at-a-time synchronous operator;
 /// SCHED is the Scheduler's worker count, and a QUEUE > 0 without SCHED
-/// >= 1 is rejected with a stderr message and falls back to 0) plus
-/// TERIDS_BENCH_SIGFILTER (0|1, default 1 = signature-bounded Jaccard
-/// kernel on), the repository storage backend from
+/// >= 1 is rejected with a stderr message and falls back to 0) plus the
+/// repository storage backend from
 /// TERIDS_BENCH_REPO_BACKEND ("memory" | "mmap", default memory), and the
 /// snapshot decode mode from TERIDS_BENCH_SNAPDECODE ("lazy" | "eager",
 /// default lazy; mmap backend only), and the async-ingest overload policy
@@ -40,13 +39,12 @@ int EnvInt(const char* name, int fallback, int min_value);
 /// "degrade", default block; DESIGN.md §13).
 /// Every bench that replays arrivals through Experiment::Run inherits them
 /// via BaseParams, so any figure can be reproduced under micro-batching,
-/// parallel refinement, async ingest, the signature filter on or off, and
-/// either storage backend without code changes.
+/// parallel refinement, async ingest, and either storage backend without
+/// code changes.
 struct ExecKnobs {
   int batch_size = 1;
   int refine_threads = 1;
   int ingest_queue_depth = 0;
-  bool signature_filter = true;
   int sched_threads = 0;
   RepoBackend repo_backend = RepoBackend::kInMemory;
   SnapshotDecode snapshot_decode = SnapshotDecode::kLazy;

@@ -1,35 +1,37 @@
-// Similarity-kernel microbenchmarks + the refine-phase end-to-end effect of
-// the flat token arena and the signature-bounded Jaccard kernel (DESIGN.md
-// §9, §11). Not a paper figure — this tracks the refinement hot path the
-// TokenSet header has always called "the hot path of the whole system".
+// Similarity-kernel microbenchmarks: the flat token arena and the
+// signature-bounded Jaccard kernel (DESIGN.md §9, §11). Not a paper figure
+// — this tracks the refinement hot path the TokenSet header has always
+// called "the hot path of the whole system".
 //
 // Section 1 (intersection): linear merge vs galloping vs the 64-bit
 // signature reject, with skip rate and signature-saturation columns (mean
 // fill %, % of signatures > 75% full) — on synthetic sorted token sets at
 // several size-skew shapes, with a correctness oracle (all algorithms must
 // agree; the signature bound must dominate the exact count).
-// Section 1b (batched filter): SigFilterCandidates' one-sweep SoA popcount
-// pass vs the equivalent per-pair loop, stamped with the active SIMD
-// dispatch (avx2 / neon / scalar).
 // Section 2 (layout): per-attribute Jaccard sums over real imputed tuples
 // read through heap TokenSets (instance_tokens) vs flat arena views
 // (instance_token_view) — the locality payoff in isolation.
-// Section 3 (end-to-end): full TER-iDS runs per profile with the signature
-// filter off vs on; identical matches / MatchSet / outcome PruneStats are
-// asserted (the filter may only skip merges), and the refine-phase seconds
-// plus the saturation / skip rates are the reported effect.
+// Section 3 (kernel replay): one TER-iDS run per profile (its match count
+// printed), then the sim > gamma verdict over every cross-stream instance
+// pair left in its windows, timed through InstanceSimilarityExceeds and
+// through InstanceSimilarity > gamma for several rounds; the verdict counts
+// must agree, and the speedup is reported as a median with its
+// interquartile range.
 //
 // Each section ends in a computed verdict line (bench::PrintVerdict) that
 // checks its claim against the numbers just printed.
 
+#include <algorithm>
 #include <cstdio>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "core/terids_engine.h"
 #include "datagen/profiles.h"
 #include "er/similarity.h"
+#include "stream/stream_driver.h"
 #include "text/similarity_kernels.h"
 #include "text/token_set.h"
 #include "tuple/imputed_tuple.h"
@@ -64,6 +66,21 @@ struct SetPair {
 /// 64), the threshold SigFilterCounters uses.
 constexpr int kSaturatedBits = 48;
 
+/// The p-quantile of `v` by nearest rank (v non-empty).
+double Quantile(std::vector<double> v, double p) {
+  std::sort(v.begin(), v.end());
+  const size_t idx = static_cast<size_t>(p * static_cast<double>(v.size()));
+  return v[std::min(idx, v.size() - 1)];
+}
+
+/// One instance pair of the kernel replay.
+struct InstancePair {
+  const ImputedTuple* a = nullptr;
+  int inst_a = 0;
+  const ImputedTuple* b = nullptr;
+  int inst_b = 0;
+};
+
 }  // namespace
 
 int main() {
@@ -72,7 +89,6 @@ int main() {
 
   // --- Section 1: intersection algorithm throughput -----------------------
   std::printf("==== similarity_kernels: merge vs gallop vs signature ====\n");
-  std::printf("(SIMD dispatch: %s)\n", SimdDispatchName());
   std::printf("\n-- intersection: 20k random pairs per shape, 5 rounds --\n");
   std::printf("%15s %11s %11s %11s %14s %8s %8s %8s\n", "|small|x|large|",
               "merge M/s", "gallop M/s", "auto M/s", "sig-reject M/s",
@@ -182,7 +198,6 @@ int main() {
     skewed_gallop_mps = mps(s_gallop);
     reporter.AddKnobRow(env_knobs)
         .Str("section", "intersection")
-        .Str("simd", SimdDispatchName())
         .Num("small", static_cast<double>(small))
         .Num("large", static_cast<double>(large))
         .Num("merge_mpairs_per_sec", mps(s_linear))
@@ -200,100 +215,6 @@ int main() {
                 skewed_merge_mps);
   PrintVerdict("galloping beats the merge at the most skewed shape",
                skewed_gallop_mps > skewed_merge_mps, evidence);
-
-  // --- Section 1b: batched SoA filter vs per-pair loop --------------------
-  // The same pass-1 decision (sum of per-attribute Jaccard bounds vs gamma)
-  // computed two ways over a synthetic candidate list: one
-  // SigFilterCandidates sweep (SIMD-dispatched popcounts over the SoA
-  // signature table) vs the scalar per-pair loop the sequential kernel
-  // runs. Rows/sec counts candidate pairs (d attributes each) per second.
-  {
-    std::printf("\n-- batched filter: %s dispatch, 4096 rows x 4 attrs, "
-                "20 rounds --\n",
-                SimdDispatchName());
-    std::printf("%18s %18s %9s %10s\n", "per-pair Mrows/s", "batched Mrows/s",
-                "speedup", "survive %");
-    const size_t num_rows = 4096;
-    const int dim = 4;
-    const int batch_rounds = 20;
-    const double gamma = 0.35 * dim;
-    std::vector<uint32_t> len_a, len_b;
-    std::vector<uint64_t> sig_a, sig_b;
-    for (size_t i = 0; i < num_rows; ++i) {
-      for (int k = 0; k < dim; ++k) {
-        const size_t len = 4 + (i * 7 + static_cast<size_t>(k) * 13) % 60;
-        const Token universe = k % 2 == 0 ? 96 : 4096;
-        const std::vector<Token> a = RandomSortedTokens(&rng, len, universe);
-        const std::vector<Token> b = RandomSortedTokens(&rng, len, universe);
-        len_a.push_back(static_cast<uint32_t>(a.size()));
-        len_b.push_back(static_cast<uint32_t>(b.size()));
-        sig_a.push_back(TokenSignature(a.data(), a.size()));
-        sig_b.push_back(TokenSignature(b.data(), b.size()));
-      }
-    }
-    SigFilterBatch batch;
-    batch.num_pairs = num_rows;
-    batch.d = dim;
-    batch.len_a = len_a.data();
-    batch.len_b = len_b.data();
-    batch.sig_a = sig_a.data();
-    batch.sig_b = sig_b.data();
-    std::vector<uint64_t> survivors((num_rows + 63) / 64);
-    size_t batched_count = 0;
-    Stopwatch w_batched;
-    for (int r = 0; r < batch_rounds; ++r) {
-      batched_count = SigFilterCandidates(batch, gamma, survivors.data());
-    }
-    const double s_batched = w_batched.ElapsedSeconds();
-    size_t scalar_count = 0;
-    Stopwatch w_scalar;
-    for (int r = 0; r < batch_rounds; ++r) {
-      scalar_count = 0;
-      for (size_t i = 0; i < num_rows; ++i) {
-        double total_ub = 0.0;
-        for (int k = 0; k < dim; ++k) {
-          const size_t e = i * static_cast<size_t>(dim) +
-                           static_cast<size_t>(k);
-          total_ub +=
-              SigJaccardUpperBound(len_a[e], sig_a[e], len_b[e], sig_b[e]);
-        }
-        scalar_count += total_ub > gamma ? 1 : 0;
-      }
-    }
-    const double s_scalar = w_scalar.ElapsedSeconds();
-    if (batched_count != scalar_count) {
-      std::fprintf(stderr,
-                   "FATAL: batched filter disagrees with per-pair loop "
-                   "(%zu vs %zu)\n",
-                   batched_count, scalar_count);
-      return 1;
-    }
-    const double row_total =
-        static_cast<double>(num_rows) * static_cast<double>(batch_rounds);
-    const double scalar_mrps = s_scalar > 0 ? row_total / s_scalar / 1e6
-                                            : 0.0;
-    const double batched_mrps = s_batched > 0 ? row_total / s_batched / 1e6
-                                              : 0.0;
-    const double speedup = scalar_mrps > 0 ? batched_mrps / scalar_mrps : 0.0;
-    const double survive_pct = 100.0 * static_cast<double>(batched_count) /
-                               static_cast<double>(num_rows);
-    std::printf("%18.2f %18.2f %8.2fx %9.1f%%\n", scalar_mrps, batched_mrps,
-                speedup, survive_pct);
-    std::fflush(stdout);
-    reporter.AddKnobRow(env_knobs)
-        .Str("section", "batched_filter")
-        .Str("simd", SimdDispatchName())
-        .Num("rows", static_cast<double>(num_rows))
-        .Num("d", dim)
-        .Num("perpair_mrows_per_sec", scalar_mrps)
-        .Num("batched_mrows_per_sec", batched_mrps)
-        .Num("survive_pct", survive_pct);
-    std::snprintf(evidence, sizeof(evidence),
-                  "%.2fx: %.2f vs %.2f M rows/s, %s dispatch", speedup,
-                  batched_mrps, scalar_mrps, SimdDispatchName());
-    PrintVerdict("the batched sweep beats the per-pair loop",
-                 batched_mrps > scalar_mrps, evidence);
-  }
 
   // --- Section 2: arena vs vector layout ----------------------------------
   // Real imputed tuples from a text-heavy profile; the workload is the
@@ -354,76 +275,140 @@ int main() {
   PrintVerdict("the arena beats heap TokenSets", arena_mps > vec_mps,
                evidence);
 
-  // --- Section 3: end-to-end refine-phase effect per profile --------------
-  std::printf("\n-- end-to-end TER-iDS: signature filter off vs on --\n");
-  std::printf("%-10s %16s %16s %9s %8s %8s %8s\n", "dataset", "off ms/ar",
-              "on ms/ar", "speedup", "skip %", ">75% %", "matches");
-  double min_speedup = 0.0;
-  std::string slowest_dataset;
+  // --- Section 3: kernel replay per profile -------------------------------
+  const int kernel_rounds = 7;
+  std::printf("\n-- kernel replay: sim > gamma over the window instance pairs "
+              "one TER-iDS run leaves, %d rounds --\n",
+              kernel_rounds);
+  std::printf("%-10s %8s %10s %12s %12s %9s %15s %8s %8s\n", "dataset",
+              "matches", "pairs", "exact ms", "kernel ms", "speedup",
+              "speedup IQR", "skip %", ">75% %");
+  double worst_margin = 0.0;
+  std::string worst_dataset;
+  double worst_median = 0.0;
+  double worst_iqr = 0.0;
   for (const std::string& dataset : AllDatasets()) {
-    ExperimentParams params = BaseParams(dataset);
+    const ExperimentParams params = BaseParams(dataset);
     Experiment experiment(ProfileByName(dataset), params);
-    EngineConfig off_config = experiment.MakeConfig();
-    off_config.signature_filter = false;
-    PipelineRun off = experiment.Run(PipelineKind::kTerIds, off_config);
-    EngineConfig on_config = experiment.MakeConfig();
-    on_config.signature_filter = true;
-    PipelineRun on = experiment.Run(PipelineKind::kTerIds, on_config);
-    // The acceptance contract: the filter skips merges, never changes
-    // output. A run violating it must not report numbers as if it passed.
-    if (on.stats.matched != off.stats.matched ||
-        on.stats.refined != off.stats.refined ||
-        on.stats.total_pairs != off.stats.total_pairs ||
-        on.final_result_size != off.final_result_size) {
-      std::fprintf(stderr, "FATAL: signature filter changed results on %s\n",
-                   dataset.c_str());
-      return 1;
+    const EngineConfig config = experiment.MakeConfig();
+    std::unique_ptr<Repository> run_repo = experiment.BuildRepository();
+    TerIdsEngine engine(run_repo.get(), config, 2, experiment.cdds());
+    StreamDriver driver({experiment.incomplete_a(), experiment.incomplete_b()});
+    engine.ProcessStream(&driver, static_cast<size_t>(params.max_arrivals),
+                         static_cast<size_t>(config.batch_size),
+                         [](ArrivalOutcome&&) {});
+    const uint64_t matched = engine.cumulative_stats().matched;
+
+    // Cross-stream instance pairs: the pairs the join refines.
+    std::vector<InstancePair> inst_pairs;
+    for (const auto& wa : engine.window(0).tuples()) {
+      for (const auto& wb : engine.window(1).tuples()) {
+        for (int ma = 0; ma < wa->tuple->num_instances(); ++ma) {
+          for (int mb = 0; mb < wb->tuple->num_instances(); ++mb) {
+            inst_pairs.push_back({wa->tuple.get(), ma, wb->tuple.get(), mb});
+          }
+        }
+      }
     }
-    const auto refine_ms = [](const PipelineRun& run) {
-      return run.arrivals > 0 ? 1e3 * run.total_cost.refine_seconds /
-                                    static_cast<double>(run.arrivals)
-                              : 0.0;
-    };
-    const double off_ms = refine_ms(off);
-    const double on_ms = refine_ms(on);
-    const double speedup = on_ms > 0 ? off_ms / on_ms : 0.0;
-    // Pass 1 probes both sides of every attribute of each visited instance
-    // pair, so probed pairs = sig_probes / (2 * d) and the skip rate is the
-    // fraction of them certified merge-free.
-    const int attr_count =
-        static_cast<int>(experiment.dataset().source_a.front().values.size());
-    const double probed_pairs =
-        static_cast<double>(on.stats.sig_probes) / (2.0 * attr_count);
+    const double gamma = config.gamma;
+    std::vector<double> exact_ms;
+    std::vector<double> kernel_ms;
+    std::vector<double> speedups;
+    SigFilterCounters sig;
+    for (int r = 0; r < kernel_rounds; ++r) {
+      size_t kernel_true = 0;
+      size_t exact_true = 0;
+      double s_kernel = 0.0;
+      double s_exact = 0.0;
+      const auto time_kernel = [&] {
+        SigFilterCounters round_sig;
+        Stopwatch w;
+        for (const InstancePair& p : inst_pairs) {
+          kernel_true += InstanceSimilarityExceeds(*p.a, p.inst_a, *p.b,
+                                                   p.inst_b, gamma, &round_sig)
+                             ? 1
+                             : 0;
+        }
+        s_kernel = w.ElapsedSeconds();
+        sig = round_sig;
+      };
+      const auto time_exact = [&] {
+        Stopwatch w;
+        for (const InstancePair& p : inst_pairs) {
+          exact_true +=
+              InstanceSimilarity(*p.a, p.inst_a, *p.b, p.inst_b) > gamma ? 1
+                                                                          : 0;
+        }
+        s_exact = w.ElapsedSeconds();
+      };
+      // Alternate the order so neither side always runs on a warm cache.
+      if (r % 2 == 0) {
+        time_kernel();
+        time_exact();
+      } else {
+        time_exact();
+        time_kernel();
+      }
+      if (kernel_true != exact_true) {
+        std::fprintf(stderr,
+                     "FATAL: signature kernel changed a verdict on %s "
+                     "(%zu vs %zu)\n",
+                     dataset.c_str(), kernel_true, exact_true);
+        return 1;
+      }
+      exact_ms.push_back(1e3 * s_exact);
+      kernel_ms.push_back(1e3 * s_kernel);
+      speedups.push_back(s_kernel > 0 ? s_exact / s_kernel : 0.0);
+    }
+    const double median = Quantile(speedups, 0.50);
+    const double q1 = Quantile(speedups, 0.25);
+    const double q3 = Quantile(speedups, 0.75);
+    const double probed = static_cast<double>(inst_pairs.size());
     const double skip_pct =
-        probed_pairs > 0 ? 100.0 * static_cast<double>(on.stats.sig_rejects) /
-                               probed_pairs
-                         : 0.0;
-    std::printf("%-10s %16.4f %16.4f %8.2fx %7.1f%% %7.1f%% %8llu\n",
-                dataset.c_str(), off_ms, on_ms, speedup, skip_pct,
-                on.stats.SigSaturatedPct(),
-                static_cast<unsigned long long>(on.stats.matched));
+        probed > 0 ? 100.0 * static_cast<double>(sig.rejects) / probed : 0.0;
+    const double sat_pct =
+        sig.probes > 0 ? 100.0 * static_cast<double>(sig.saturated) /
+                             static_cast<double>(sig.probes)
+                       : 0.0;
+    char iqr[32];
+    std::snprintf(iqr, sizeof(iqr), "%.2f-%.2fx", q1, q3);
+    std::printf("%-10s %8llu %10zu %12.3f %12.3f %8.2fx %15s %7.1f%% "
+                "%7.1f%%\n",
+                dataset.c_str(), static_cast<unsigned long long>(matched),
+                inst_pairs.size(), Quantile(exact_ms, 0.50),
+                Quantile(kernel_ms, 0.50), median, iqr, skip_pct, sat_pct);
     std::fflush(stdout);
-    if (slowest_dataset.empty() || speedup < min_speedup) {
-      min_speedup = speedup;
-      slowest_dataset = dataset;
+    // How far the median sits below parity beyond its own spread; > 0 means
+    // the kernel measurably loses on this profile.
+    const double margin = (1.0 - median) - (q3 - q1);
+    if (worst_dataset.empty() || margin > worst_margin) {
+      worst_margin = margin;
+      worst_dataset = dataset;
+      worst_median = median;
+      worst_iqr = q3 - q1;
     }
     reporter.AddKnobRow(env_knobs)
-        .Str("section", "end_to_end")
+        .Str("section", "kernel_replay")
         .Str("dataset", dataset)
-        .Str("simd", SimdDispatchName())
-        .Num("refine_ms_per_arrival_sig_off", off_ms)
-        .Num("total_ms_per_arrival_sig_off", 1e3 * off.avg_arrival_seconds)
-        .Num("refine_ms_per_arrival_sig_on", on_ms)
-        .Num("total_ms_per_arrival_sig_on", 1e3 * on.avg_arrival_seconds)
+        .Num("matched", static_cast<double>(matched))
+        .Num("instance_pairs", probed)
+        .Num("rounds", kernel_rounds)
+        .Num("exact_ms_median", Quantile(exact_ms, 0.50))
+        .Num("kernel_ms_median", Quantile(kernel_ms, 0.50))
+        .Num("speedup_median", median)
+        .Num("speedup_q1", q1)
+        .Num("speedup_q3", q3)
         .Num("sig_skip_pct", skip_pct)
-        .Num("sig_saturated_pct", on.stats.SigSaturatedPct())
-        .Num("matched", static_cast<double>(off.stats.matched));
+        .Num("sig_saturated_pct", sat_pct);
   }
   std::printf("\n");
   std::snprintf(evidence, sizeof(evidence),
-                "slowest %.2fx on %s; matches and outcome stats identical",
-                min_speedup, slowest_dataset.c_str());
-  PrintVerdict("the filter speeds up refine on every profile",
-               min_speedup > 1.0, evidence);
+                "least favourable %s: median %.2fx, IQR %.2f; verdict counts "
+                "identical",
+                worst_dataset.c_str(), worst_median, worst_iqr);
+  PrintVerdict(
+      "the signature kernel is no slower than the exact sum on any profile "
+      "(median speedup not below 1 by more than its IQR)",
+      worst_margin <= 0.0, evidence);
   return 0;
 }

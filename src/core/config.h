@@ -56,14 +56,6 @@ struct EngineConfig {
   /// batch k+1 overlaps refinement of batch k, at most this many batches
   /// ahead. Requires sched_threads >= 1 (checked at pipeline construction).
   int ingest_queue_depth = 0;
-  /// Enables the signature-bounded Jaccard kernel inside refinement: the
-  /// per-(instance, attribute) token signatures precomputed in each
-  /// tuple's TokenArena give an O(words) popcount upper bound that rejects
-  /// instance pairs before any token merge runs (DESIGN.md §9, §11). The
-  /// bound only skips merges whose sim > gamma verdict is already decided,
-  /// so emitted matches, MatchSet, and PruneStats are bit-identical with
-  /// the filter on or off (the equivalence sweep enforces it).
-  bool signature_filter = true;
   /// Worker count of the phase-tagged Scheduler (DESIGN.md §10). 0 = no
   /// scheduler: every phase runs inline on the calling thread (the
   /// synchronous sequential operator, the equivalence oracle). >= 1 = one

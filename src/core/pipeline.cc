@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "er/probability.h"
-#include "text/similarity_kernels.h"
 #include "util/mutex.h"
 #include "util/stopwatch.h"
 
@@ -145,8 +144,7 @@ void PipelineBase::RefinePhase(ArrivalContext* ctx) {
       task.probe_topic = &ctx->wt->topic;
       task.candidate = cand;
       const PairEvaluation eval = RefinementExecutor::Evaluate(
-          task, use_prunings_, config_.signature_filter, config_.gamma,
-          config_.alpha);
+          task, use_prunings_, config_.gamma, config_.alpha);
       ApplyEvaluation(ctx, cand, eval);
     }
     return;
@@ -157,8 +155,7 @@ void PipelineBase::RefinePhase(ArrivalContext* ctx) {
     tasks.push_back({ctx->tuple.get(), &ctx->wt->topic, cand});
   }
   std::vector<PairEvaluation> evals;
-  refiner_.Run(tasks, use_prunings_, config_.signature_filter, config_.gamma,
-               config_.alpha, &evals);
+  refiner_.Run(tasks, use_prunings_, config_.gamma, config_.alpha, &evals);
   for (size_t i = 0; i < ctx->candidates.size(); ++i) {
     ApplyEvaluation(ctx, ctx->candidates[i], evals[i]);
   }
@@ -224,8 +221,7 @@ void PipelineBase::RefineAndReplay(std::vector<ArrivalContext>* ctxs) {
   std::vector<PairEvaluation> evals;
   {
     ScopedTimer timer(&refine_wall);
-    refiner_.Run(tasks, use_prunings_, config_.signature_filter,
-                 config_.gamma, config_.alpha, &evals);
+    refiner_.Run(tasks, use_prunings_, config_.gamma, config_.alpha, &evals);
   }
 
   // Replay in arrival order: evaluations fold into each arrival's stats

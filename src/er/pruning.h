@@ -40,9 +40,8 @@ struct PruneStats {
   /// probes inspected by the popcount pass, how many were saturated (> 48
   /// of 64 bits set — the regime where the bound loosens), and how many
   /// instance pairs the pass certified merge-free. Unlike every counter
-  /// above these are cost-side diagnostics, not outcome counts: all three
-  /// are zero with the filter off, so the equivalence sweep's stats
-  /// comparison deliberately excludes them.
+  /// above these are cost-side diagnostics, not outcome counts; they still
+  /// do not depend on placement, so the equivalence sweep compares them.
   uint64_t sig_probes = 0;
   uint64_t sig_saturated = 0;
   uint64_t sig_rejects = 0;
@@ -124,8 +123,8 @@ struct PairEvaluation {
   /// Meaningful only when `outcome == kMatched`.
   double probability = 0.0;
   /// Signature-filter observability for this pair (folded into PruneStats'
-  /// sig_* counters by the pipeline); all zero when the filter is off or
-  /// the cascade pruned the pair before refinement.
+  /// sig_* counters by the pipeline); all zero when the cascade pruned the
+  /// pair before any signature pass ran.
   uint64_t sig_probes = 0;
   uint64_t sig_saturated = 0;
   uint64_t sig_rejects = 0;
@@ -137,22 +136,20 @@ struct PairEvaluation {
 /// fires, refines the exact probability. Pure function of its arguments —
 /// no shared mutable state — so concurrent calls on distinct or identical
 /// pairs are safe; callers fold the returned evaluation into their own
-/// PruneStats via PruneStats::Record. `signature_filter` routes the
-/// refinement's instance-level verdicts through the signature-bounded
-/// Jaccard kernel; it skips merges only, so the outcome (and therefore
-/// every PruneStats counter) is identical with it on or off.
+/// PruneStats via PruneStats::Record. The refinement's instance-level
+/// verdicts go through the signature-bounded Jaccard kernel
+/// (InstanceSimilarityExceeds), which skips merges only.
 PairEvaluation EvaluatePair(const ImputedTuple& a,
                             const TopicQuery::TupleTopic& a_topic,
                             const ImputedTuple& b,
                             const TopicQuery::TupleTopic& b_topic,
-                            double gamma, double alpha,
-                            bool signature_filter = true);
+                            double gamma, double alpha);
 
 /// Degrade-mode evaluation (DESIGN.md §13): only the merge-free prefix of
 /// the cascade runs — the Theorem 4.1 topic kill, the Theorem 4.2
 /// similarity upper bound, the Theorem 4.3 probability bound, and, for
-/// single-instance pairs, the signature-only Jaccard upper bound of
-/// DESIGN.md §11 summed across attributes. No token merge and no exact
+/// single-instance pairs, pass 1 of the signature filter (SigBoundExceeds,
+/// DESIGN.md §11) with its counters. No token merge and no exact
 /// refinement ever execute, so the cost per pair is O(d) popcounts. Every
 /// prune it reports is sound (the same bound EvaluatePair would have
 /// applied); pairs none of the bounds decides come back as

@@ -46,31 +46,23 @@ double InstanceSimilarity(const ImputedTuple& a, int inst_a,
   return sim;
 }
 
-bool InstanceSimilarityExceeds(const ImputedTuple& a, int inst_a,
-                               const ImputedTuple& b, int inst_b, double gamma,
-                               bool signature_filter,
-                               SigFilterCounters* counters) {
-  const int d = a.num_attributes();
-  TERIDS_CHECK(b.num_attributes() == d);
-  if (!signature_filter || d > kMaxAttrs) {
-    return InstanceSimilarity(a, inst_a, b, inst_b) > gamma;
-  }
-
-  // Pass 1: O(d) popcount bounds, no token reads. ub[k] >= the exact
-  // per-attribute Jaccard and both sums accumulate in the same order, so
-  // rounding is monotone step-by-step and the floating-point exact sum can
-  // never exceed the floating-point bound sum: bound <= gamma certifies
-  // the exact verdict is false. The bound arithmetic is shared with the
-  // executor's batched prefilter (SigFilterCandidates), which reproduces
-  // exactly this accumulation.
-  double ub[kMaxAttrs];
+bool SigBoundExceeds(const ImputedTuple& a, int inst_a, const ImputedTuple& b,
+                     int inst_b, double gamma, double* ub,
+                     SigFilterCounters* counters) {
+  // ub[k] >= the exact per-attribute Jaccard and both sums accumulate in
+  // the same order, so rounding is monotone step-by-step and the
+  // floating-point exact sum can never exceed the floating-point bound sum:
+  // bound <= gamma certifies the exact verdict is false.
   double total_ub = 0.0;
-  for (int k = 0; k < d; ++k) {
+  for (int k = 0; k < a.num_attributes(); ++k) {
     const TokenView va = a.instance_token_view(inst_a, k);
     const TokenView vb = b.instance_token_view(inst_b, k);
     const SigPopCounts pops = SigPopCount(va.sig, vb.sig);
-    ub[k] = SigJaccardUpperBoundFromPops(va.len, vb.len, pops);
-    total_ub += ub[k];
+    const double bound = SigJaccardUpperBoundFromPops(va.len, vb.len, pops);
+    if (ub != nullptr) {
+      ub[k] = bound;
+    }
+    total_ub += bound;
     if (counters != nullptr) {
       counters->probes += 2;
       counters->saturated += (pops.a > kSigSaturatedBits ? 1u : 0u) +
@@ -81,6 +73,23 @@ bool InstanceSimilarityExceeds(const ImputedTuple& a, int inst_a,
     if (counters != nullptr) {
       ++counters->rejects;
     }
+    return false;
+  }
+  return true;
+}
+
+bool InstanceSimilarityExceeds(const ImputedTuple& a, int inst_a,
+                               const ImputedTuple& b, int inst_b, double gamma,
+                               SigFilterCounters* counters) {
+  const int d = a.num_attributes();
+  TERIDS_CHECK(b.num_attributes() == d);
+  if (d > kMaxAttrs) {
+    return InstanceSimilarity(a, inst_a, b, inst_b) > gamma;
+  }
+
+  // Pass 1: O(d) popcount bounds, no token reads.
+  double ub[kMaxAttrs];
+  if (!SigBoundExceeds(a, inst_a, b, inst_b, gamma, ub, counters)) {
     return false;
   }
 

@@ -23,28 +23,36 @@ double InstanceSimilarity(const ImputedTuple& a, int inst_a,
 /// more than 48 of their 64 bits set (the regime where the popcount bound
 /// goes loose); `rejects` counts instance pairs pass 1 certified
 /// merge-free. They are how a production run observes whether 64 bits are
-/// wide enough for its token-set lengths. All three are cost-side and zero
-/// with the filter off, so they are excluded from the equivalence sweep's
-/// stats comparison.
+/// wide enough for its token-set lengths. Like the outcome counters they
+/// do not depend on placement, so the equivalence sweep compares them too.
 struct SigFilterCounters {
   uint64_t probes = 0;
   uint64_t saturated = 0;
   uint64_t rejects = 0;
 };
 
+/// Pass 1 of the signature filter: sums the per-attribute signature
+/// Jaccard upper bounds of one instance pair in attribute order — O(d)
+/// popcounts, no token reads — and returns whether the sum exceeds
+/// `gamma`. False certifies InstanceSimilarity(...) <= gamma. When `ub` is
+/// non-null it receives the d per-attribute bounds. `counters`, when
+/// non-null, accumulates two probes per attribute, the saturated ones, and
+/// one reject on a false verdict.
+bool SigBoundExceeds(const ImputedTuple& a, int inst_a, const ImputedTuple& b,
+                     int inst_b, double gamma, double* ub,
+                     SigFilterCounters* counters);
+
 /// The refinement hot-path kernel: decides InstanceSimilarity(a, b) > gamma
-/// without necessarily running any merge. With `signature_filter`, the
-/// per-attribute signature Jaccard upper bounds are summed first — if even
-/// the bound cannot exceed gamma the pair is rejected in O(d) popcounts —
-/// and the exact per-attribute merges that do run terminate early once the
-/// accumulated exact sum either exceeds gamma or provably cannot. The
-/// returned verdict is always exactly `InstanceSimilarity(...) > gamma`:
-/// bounds only skip work whose outcome is decided, never change it.
-/// `counters`, when non-null and the filter runs, accumulates the
-/// saturation observability counters above.
+/// without necessarily running any merge. Pass 1 (SigBoundExceeds) rejects
+/// the pair in O(d) popcounts if even the summed signature bounds cannot
+/// exceed gamma; the exact per-attribute merges that do run terminate
+/// early once the accumulated exact sum either exceeds gamma or provably
+/// cannot. The returned verdict is always exactly
+/// `InstanceSimilarity(...) > gamma`: bounds only skip work whose outcome
+/// is decided, never change it. `counters`, when non-null, accumulates the
+/// observability counters above.
 bool InstanceSimilarityExceeds(const ImputedTuple& a, int inst_a,
                                const ImputedTuple& b, int inst_b, double gamma,
-                               bool signature_filter,
                                SigFilterCounters* counters = nullptr);
 
 /// The equivalent distance form used by the pivot bounds: dist(a, b) =

@@ -38,9 +38,6 @@ struct ExperimentParams {
   int batch_size = 1;
   int refine_threads = 1;
   int ingest_queue_depth = 0;
-  /// Signature-bounded Jaccard kernel inside refinement (on by default;
-  /// results are bit-identical either way, only merge work is skipped).
-  bool signature_filter = true;
   /// Scheduler worker count (0 = every phase inline on the caller, the
   /// synchronous operator; >= 1 = the refine fan-out and async ingest
   /// share one worker pool). Every setting produces identical results

@@ -20,15 +20,8 @@ namespace terids {
 /// evaluations into PruneStats / the match set in task (candidate) order,
 /// which reproduces the sequential loop exactly.
 ///
-/// Before fanning out, the parallel path runs the batched signature
-/// prefilter (SigFilterCandidates, DESIGN.md §11): one SoA popcount sweep
-/// over the candidate list classifies tasks as merge-capable ("heavy") or
-/// provably merge-free ("light" — topic-killed or signature-rejected
-/// single-instance pairs), and heavy tasks are sharded finely while light
-/// ones go into 8x coarser shards. The prefilter decides placement only —
-/// every task still runs the unchanged Evaluate — so outputs and stats are
-/// bit-identical with the prefilter active, inactive (signature_filter
-/// off), or on the sequential path (which never runs it).
+/// The parallel path fans out contiguous shards of the task list, several
+/// per worker; every task runs the same Evaluate as the sequential loop.
 ///
 /// Locking model (DESIGN.md §12): the executor itself holds no mutex. Task
 /// inputs are immutable for the duration of Run, each worker writes only
@@ -56,19 +49,16 @@ class RefinementExecutor {
 
   /// Evaluates a single pair — the unit of work every worker runs, also
   /// usable directly by the sequential refinement loop (no task vector, no
-  /// dispatch). `signature_filter` enables the signature-bounded Jaccard
-  /// kernel inside refinement (verdicts identical either way).
+  /// dispatch).
   static PairEvaluation Evaluate(const Task& task, bool use_prunings,
-                                 bool signature_filter, double gamma,
-                                 double alpha);
+                                 double gamma, double alpha);
 
   /// Evaluates every task. With `use_prunings` the full cascade runs
   /// (EvaluatePair); without it the exact probability is always computed,
   /// reproducing the unpruned baselines. `evaluations` is resized to
   /// `tasks.size()`.
-  void Run(const std::vector<Task>& tasks, bool use_prunings,
-           bool signature_filter, double gamma, double alpha,
-           std::vector<PairEvaluation>* evaluations);
+  void Run(const std::vector<Task>& tasks, bool use_prunings, double gamma,
+           double alpha, std::vector<PairEvaluation>* evaluations);
 
  private:
   Scheduler* scheduler_;

@@ -28,8 +28,7 @@ struct TokenView {
 /// contiguous Token buffer (a "range": offset + length), and slots map
 /// logical positions — (instance, attribute) cells, plus the cached
 /// record-union — onto ranges. Signatures live in their own contiguous
-/// word array (one word per range), so the batched filter sweep reads them
-/// as one flat stream. Slots freely alias ranges, so an attribute shared by
+/// word array (one word per range). Slots freely alias ranges, so an attribute shared by
 /// all instances (or two instances choosing the same imputed value) stores
 /// its tokens exactly once while every slot lookup stays O(1).
 ///

@@ -123,7 +123,6 @@ class EnvIntTest : public ::testing::Test {
   void TearDown() override {
     unsetenv(kKnob);
     unsetenv("TERIDS_BENCH_REPO_BACKEND");
-    unsetenv("TERIDS_BENCH_SIGFILTER");
     unsetenv("TERIDS_BENCH_QUEUE");
     unsetenv("TERIDS_BENCH_SCHED");
   }
@@ -177,12 +176,6 @@ TEST_F(EnvIntTest, RejectsBelowMinimumWithMessage) {
   const auto [v, err] = Parse("0", 4, 1);
   EXPECT_EQ(v, 4);
   EXPECT_NE(err.find("below the minimum"), std::string::npos) << err;
-}
-
-TEST_F(EnvIntTest, SignatureFilterKnobParses) {
-  EXPECT_TRUE(EnvExecKnobs().signature_filter);  // default on
-  setenv("TERIDS_BENCH_SIGFILTER", "0", 1);
-  EXPECT_FALSE(EnvExecKnobs().signature_filter);
 }
 
 TEST_F(EnvIntTest, QueueWithoutSchedulerIsRejectedLoudly) {

@@ -7,22 +7,30 @@
 //    changes cost, never results — checked over a grid of query
 //    parameters rather than a single configuration.
 // 2. Across every datagen profile and (batch_size, refine_threads,
-//    ingest_queue_depth, signature_filter, sched_threads) combination, the
+//    ingest_queue_depth, sched_threads) combination, the
 //    batched / parallel / async-ingest operator (ProcessStream over
 //    ProcessBatch + RefinementExecutor + BatchQueue, fanned out on the
 //    Scheduler) must be bit-identical to one-at-a-time ProcessArrival: same
 //    per-arrival matches in the same order, same final MatchSet, same
-//    cumulative PruneStats.
+//    cumulative PruneStats, sig_* filter counters included.
+// 3. On the windows each profile's replay leaves behind, the signature-
+//    bounded kernel InstanceSimilarityExceeds returns exactly
+//    InstanceSimilarity > g for every instance pair, at g on both sides of
+//    and exactly at each pair's similarity.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <tuple>
 
 #include "core/pipeline.h"
+#include "core/terids_engine.h"
 #include "datagen/generator.h"
 #include "datagen/profiles.h"
+#include "er/similarity.h"
 #include "eval/experiment.h"
 #include "stream/stream_driver.h"
 
@@ -81,9 +89,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Batched / parallel / async operator equivalence -----------------------
 
-// profile, batch, refine_threads, ingest_queue_depth, signature_filter,
-// sched_threads
-using BatchCombo = std::tuple<std::string, int, int, int, bool, int>;
+// profile, batch, refine_threads, ingest_queue_depth, sched_threads
+using BatchCombo = std::tuple<std::string, int, int, int, int>;
 
 class BatchEquivalenceSweepTest
     : public ::testing::TestWithParam<BatchCombo> {};
@@ -133,10 +140,10 @@ ReplayResult Replay(const Experiment& experiment, PipelineKind kind,
   return result;
 }
 
-// Deliberately compares only the outcome counters: the sig_* observability
-// counters (sig_probes / sig_saturated / sig_rejects) legitimately vary
-// with signature_filter — they count filter work, not results — so they
-// are excluded from the bit-identity contract.
+// Compares the outcome counters and the sig_* observability counters
+// (sig_probes / sig_saturated / sig_rejects): the filter visits the same
+// instance pairs whatever the placement, so its work counts are part of
+// the bit-identity contract too.
 void ExpectSameReplay(const ReplayResult& got, const ReplayResult& want,
                       const std::string& label) {
   EXPECT_EQ(got.emitted, want.emitted) << label;
@@ -156,6 +163,9 @@ void ExpectSameReplay(const ReplayResult& got, const ReplayResult& want,
   EXPECT_EQ(a.instance_pruned, b.instance_pruned) << label;
   EXPECT_EQ(a.refined, b.refined) << label;
   EXPECT_EQ(a.matched, b.matched) << label;
+  EXPECT_EQ(a.sig_probes, b.sig_probes) << label;
+  EXPECT_EQ(a.sig_saturated, b.sig_saturated) << label;
+  EXPECT_EQ(a.sig_rejects, b.sig_rejects) << label;
   // Degradation is required to be *visible*: outside the degrade policy
   // under pressure, no pair may ever be recorded as deferred.
   EXPECT_EQ(a.deferred, b.deferred) << label;
@@ -163,7 +173,7 @@ void ExpectSameReplay(const ReplayResult& got, const ReplayResult& want,
 
 TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
   const auto [profile, batch_size, refine_threads, queue_depth,
-              signature_filter, sched_threads] = GetParam();
+              sched_threads] = GetParam();
   Experiment experiment(ProfileByName(profile), SweepParams(profile));
 
   // The TER-iDS engine covers grid candidates + the pruning cascade (and,
@@ -175,9 +185,8 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
   for (PipelineKind kind :
        {PipelineKind::kTerIds, PipelineKind::kConstraintEr}) {
     // The oracle is the synchronous sequential operator: one-at-a-time,
-    // no scheduler, signature filter off (plain merges everywhere).
+    // no scheduler.
     EngineConfig config = experiment.MakeConfig();
-    config.signature_filter = false;
     std::unique_ptr<Repository> oracle_repo = experiment.BuildRepository();
     const ReplayResult sequential =
         Replay(experiment, kind, oracle_repo.get(), config);
@@ -185,7 +194,6 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
     config.batch_size = batch_size;
     config.refine_threads = refine_threads;
     config.ingest_queue_depth = queue_depth;
-    config.signature_filter = signature_filter;
     config.sched_threads = sched_threads;
     std::unique_ptr<Repository> repo = experiment.BuildRepository();
     ExpectSameReplay(Replay(experiment, kind, repo.get(), config), sequential,
@@ -316,39 +324,32 @@ std::vector<BatchCombo> BatchCombos() {
   std::vector<BatchCombo> combos;
   for (const char* profile :
        {"Citations", "Anime", "Bikes", "EBooks", "Songs"}) {
-    // The batch x threads matrix (synchronous ingest, signature filter on —
-    // every profile exercises the signature kernel against the
-    // sigfilter-off oracle); parallel refinement fans out on 3 workers.
-    combos.emplace_back(profile, 1, 4, 0, true, 3);
-    combos.emplace_back(profile, 8, 1, 0, true, 0);
-    combos.emplace_back(profile, 8, 4, 0, true, 3);
+    // The batch x threads matrix (synchronous ingest); parallel refinement
+    // fans out on 3 workers.
+    combos.emplace_back(profile, 1, 4, 0, 3);
+    combos.emplace_back(profile, 8, 1, 0, 0);
+    combos.emplace_back(profile, 8, 4, 0, 3);
     // ...plus the everything-on configuration per profile: async kIngest
-    // chain + parallel refinement + signature filter (the TSan job's main
-    // data-race surface), once on a single worker and once on four.
-    combos.emplace_back(profile, 8, 4, 2, true, 1);
-    combos.emplace_back(profile, 8, 4, 2, true, 4);
+    // chain + parallel refinement (the TSan job's main data-race surface),
+    // once on a single worker and once on four.
+    combos.emplace_back(profile, 8, 4, 2, 1);
+    combos.emplace_back(profile, 8, 4, 2, 4);
   }
   // Scheduler axes in isolation (Citations): scheduler constructed but no
   // phase fans out; refinement fanning out alone; the kIngest chain alone
-  // (batch 8 and batch 1); the two-worker edge of the caller-participation
-  // discipline under the everything-on load; and sigfilter-off against the
-  // sigfilter-off oracle, synchronous and async.
-  combos.emplace_back("Citations", 1, 1, 0, true, 4);
-  combos.emplace_back("Citations", 8, 4, 0, true, 4);
-  combos.emplace_back("Citations", 8, 1, 2, true, 4);
+  // (batch 8 and batch 1); and the two-worker edge of the
+  // caller-participation discipline under the everything-on load.
+  combos.emplace_back("Citations", 1, 1, 0, 4);
+  combos.emplace_back("Citations", 8, 4, 0, 4);
+  combos.emplace_back("Citations", 8, 1, 2, 4);
   // chain, batch 1
-  combos.emplace_back("Citations", 1, 1, 2, true, 4);
-  combos.emplace_back("Citations", 8, 4, 2, true, 2);
-  combos.emplace_back("Citations", 8, 4, 0, false, 3);
-  combos.emplace_back("Citations", 8, 4, 2, false, 4);
-  combos.emplace_back("Bikes", 8, 4, 2, false, 4);
-  // The signature filter in isolation (Citations, everything else
-  // sequential), a replay of the oracle configuration itself, and the
-  // filter through the executor's batched prefilter on two workers.
-  combos.emplace_back("Citations", 1, 1, 0, true, 0);
-  combos.emplace_back("Citations", 1, 1, 0, false, 0);
-  combos.emplace_back("Citations", 1, 4, 0, true, 2);
-  combos.emplace_back("Citations", 8, 4, 0, true, 2);
+  combos.emplace_back("Citations", 1, 1, 2, 4);
+  combos.emplace_back("Citations", 8, 4, 2, 2);
+  // A replay of the oracle configuration itself, and refinement fanning
+  // out on two workers, one arrival and eight arrivals per batch.
+  combos.emplace_back("Citations", 1, 1, 0, 0);
+  combos.emplace_back("Citations", 1, 4, 0, 2);
+  combos.emplace_back("Citations", 8, 4, 0, 2);
   return combos;
 }
 
@@ -361,11 +362,81 @@ INSTANTIATE_TEST_SUITE_P(AllProfiles, BatchEquivalenceSweepTest,
                                   std::to_string(std::get<2>(info.param)) +
                                   "_q" +
                                   std::to_string(std::get<3>(info.param)) +
-                                  (std::get<4>(info.param) ? "_sig1"
-                                                           : "_sig0") +
                                   "_c" +
-                                  std::to_string(std::get<5>(info.param));
+                                  std::to_string(std::get<4>(info.param));
                          });
+
+// --- Signature-kernel soundness on real windows ----------------------------
+
+// The signature-bounded kernel must decide sim > g exactly as the plain
+// per-attribute Jaccard sum does, on the token sets real replays produce.
+// Each profile streams through TER-iDS at sweep scale; every instance pair
+// among the tuples left in the two windows is then checked at the query's
+// gamma, at the pair's exact similarity (the verdict must be false), and
+// one ulp below and above it (true and false) — the thresholds where a
+// bound that rounded differently from the exact sum would flip a verdict.
+class SignatureKernelSoundnessTest
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SignatureKernelSoundnessTest, ExceedsEqualsExactOnWindowPairs) {
+  const std::string profile = GetParam();
+  Experiment experiment(ProfileByName(profile), SweepParams(profile));
+  const EngineConfig config = experiment.MakeConfig();
+  std::unique_ptr<Repository> repo = experiment.BuildRepository();
+  TerIdsEngine engine(repo.get(), config, 2, experiment.cdds());
+  StreamDriver driver({experiment.incomplete_a(), experiment.incomplete_b()});
+  engine.ProcessStream(&driver,
+                       static_cast<size_t>(experiment.params().max_arrivals),
+                       1, [](ArrivalOutcome&&) {});
+
+  std::vector<const ImputedTuple*> tuples;
+  for (int stream = 0; stream < 2; ++stream) {
+    for (const auto& wt : engine.window(stream).tuples()) {
+      tuples.push_back(wt->tuple.get());
+    }
+  }
+  ASSERT_GT(tuples.size(), 1u) << profile;
+
+  const double inf = std::numeric_limits<double>::infinity();
+  size_t checked = 0;
+  size_t mismatches = 0;
+  std::string first_mismatch;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    for (size_t j = i; j < tuples.size(); ++j) {
+      const ImputedTuple& a = *tuples[i];
+      const ImputedTuple& b = *tuples[j];
+      for (int m = 0; m < a.num_instances(); ++m) {
+        for (int mp = 0; mp < b.num_instances(); ++mp) {
+          const double exact = InstanceSimilarity(a, m, b, mp);
+          for (const double g : {config.gamma, exact,
+                                 std::nextafter(exact, -inf),
+                                 std::nextafter(exact, inf)}) {
+            ++checked;
+            if (InstanceSimilarityExceeds(a, m, b, mp, g) == (exact > g)) {
+              continue;
+            }
+            if (mismatches++ == 0) {
+              first_mismatch = "rid " + std::to_string(a.rid()) + "/" +
+                               std::to_string(m) + " vs rid " +
+                               std::to_string(b.rid()) + "/" +
+                               std::to_string(mp) + " at g " +
+                               std::to_string(g);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u) << profile;
+  EXPECT_EQ(mismatches, 0u) << profile << " of " << checked << " checks; first "
+                            << first_mismatch;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllProfiles, SignatureKernelSoundnessTest,
+                         ::testing::Values("Citations", "Anime", "Bikes",
+                                           "EBooks", "Songs"),
+                         [](const ::testing::TestParamInfo<std::string>&
+                                info) { return info.param; });
 
 }  // namespace
 }  // namespace terids

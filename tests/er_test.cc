@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "er/bounds.h"
 #include "er/probability.h"
@@ -8,6 +9,7 @@
 #include "er/similarity.h"
 #include "er/topic.h"
 #include "test_util.h"
+#include "util/bits.h"
 #include "util/rng.h"
 
 namespace terids {
@@ -223,6 +225,45 @@ TEST(RefineTest, TopicGatesProbability) {
   EXPECT_DOUBLE_EQ(ExactProbability(ta, topic.Classify(ta), tb,
                                     topic.Classify(tb), 2.0),
                    0.0);
+}
+
+TEST(PruningTest, BoundsPassCountsLikeTheRefinementKernel) {
+  // Degrade-mode evaluation runs pass 1 of the signature filter, so a
+  // single-instance pair reaching it must report the same counters as
+  // InstanceSimilarityExceeds: two probes per attribute, and a saturated
+  // probe for each signature with more than 48 of its 64 bits set.
+  ToyWorld world = MakeHealthWorld();
+  TopicQuery topic(*world.dict, {"diabetes"});
+  std::string long_symptom;
+  for (int w = 0; w < 300; ++w) {
+    long_symptom += "w" + std::to_string(w) + " ";
+  }
+  const std::vector<std::string> texts = {"male", long_symptom, "diabetes",
+                                          "drug therapy"};
+  ImputedTuple a =
+      ImputedTuple::FromComplete(world.Make(1, texts), world.repo.get());
+  ImputedTuple b =
+      ImputedTuple::FromComplete(world.Make(2, texts), world.repo.get());
+  ASSERT_EQ(a.num_instances(), 1);
+  ASSERT_EQ(b.num_instances(), 1);
+  ASSERT_GT(PopCount64(a.instance_token_view(0, 1).sig), 48);
+
+  const double gamma = 2.0;
+  const PairEvaluation eval = EvaluatePairBounds(
+      a, topic.Classify(a), b, topic.Classify(b), gamma, /*alpha=*/0.4);
+  // Identical tuples clear every bound, so the pair reaches the signature
+  // pass and survives it undecided.
+  EXPECT_EQ(eval.outcome, PairOutcome::kDeferred);
+  const int d = a.num_attributes();
+  EXPECT_EQ(eval.sig_probes, 2u * static_cast<uint64_t>(d));
+  EXPECT_EQ(eval.sig_saturated, 2u);
+  EXPECT_EQ(eval.sig_rejects, 0u);
+
+  SigFilterCounters kernel;
+  EXPECT_TRUE(InstanceSimilarityExceeds(a, 0, b, 0, gamma, &kernel));
+  EXPECT_EQ(eval.sig_probes, kernel.probes);
+  EXPECT_EQ(eval.sig_saturated, kernel.saturated);
+  EXPECT_EQ(eval.sig_rejects, kernel.rejects);
 }
 
 }  // namespace

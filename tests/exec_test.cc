@@ -50,10 +50,10 @@ TEST_F(RefinementExecutorTest, ParallelEqualsSequentialOnBothCascades) {
       {"male", "loss of weight", "diabetes", "dietary therapy"},
       {"female", "fever low spirit", "pneumonia", "antibiotics"},
   };
-  // The parallel Run routes through the batched signature prefilter
-  // (heavy/light placement); the evaluations must nevertheless be
-  // bit-identical to the sequential executor's, including the sig_*
-  // observability counters (Evaluate is pure, placement changes nothing).
+  // The parallel Run fans contiguous shards out over the workers; the
+  // evaluations must be bit-identical to the sequential executor's,
+  // including the sig_* observability counters (Evaluate is pure,
+  // placement changes nothing).
   Scheduler scheduler(3);
   std::shared_ptr<WindowTuple> probe =
       MakeTuple(1, {"male", "fever cough", "flu", "drink more"}, topic);
@@ -68,36 +68,32 @@ TEST_F(RefinementExecutorTest, ParallelEqualsSequentialOnBothCascades) {
   }
 
   for (bool use_prunings : {true, false}) {
-    for (bool signature_filter : {true, false}) {
-      RefinementExecutor sequential(nullptr);
-      RefinementExecutor parallel(&scheduler);
-      std::vector<PairEvaluation> seq_evals;
-      std::vector<PairEvaluation> par_evals;
-      sequential.Run(tasks, use_prunings, signature_filter, 2.0, 0.4,
-                     &seq_evals);
-      parallel.Run(tasks, use_prunings, signature_filter, 2.0, 0.4,
-                   &par_evals);
-      ASSERT_EQ(seq_evals.size(), tasks.size());
-      ASSERT_EQ(par_evals.size(), tasks.size());
-      PruneStats seq_stats;
-      PruneStats par_stats;
-      for (size_t i = 0; i < tasks.size(); ++i) {
-        EXPECT_EQ(par_evals[i].outcome, seq_evals[i].outcome) << "task " << i;
-        EXPECT_DOUBLE_EQ(par_evals[i].probability, seq_evals[i].probability)
-            << "task " << i;
-        EXPECT_EQ(par_evals[i].sig_probes, seq_evals[i].sig_probes)
-            << "task " << i;
-        EXPECT_EQ(par_evals[i].sig_saturated, seq_evals[i].sig_saturated)
-            << "task " << i;
-        EXPECT_EQ(par_evals[i].sig_rejects, seq_evals[i].sig_rejects)
-            << "task " << i;
-        seq_stats.Record(seq_evals[i].outcome);
-        par_stats.Record(par_evals[i].outcome);
-      }
-      EXPECT_EQ(seq_stats.total_pairs, tasks.size());
-      EXPECT_EQ(par_stats.matched, seq_stats.matched);
-      EXPECT_EQ(par_stats.refined, seq_stats.refined);
+    RefinementExecutor sequential(nullptr);
+    RefinementExecutor parallel(&scheduler);
+    std::vector<PairEvaluation> seq_evals;
+    std::vector<PairEvaluation> par_evals;
+    sequential.Run(tasks, use_prunings, 2.0, 0.4, &seq_evals);
+    parallel.Run(tasks, use_prunings, 2.0, 0.4, &par_evals);
+    ASSERT_EQ(seq_evals.size(), tasks.size());
+    ASSERT_EQ(par_evals.size(), tasks.size());
+    PruneStats seq_stats;
+    PruneStats par_stats;
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      EXPECT_EQ(par_evals[i].outcome, seq_evals[i].outcome) << "task " << i;
+      EXPECT_DOUBLE_EQ(par_evals[i].probability, seq_evals[i].probability)
+          << "task " << i;
+      EXPECT_EQ(par_evals[i].sig_probes, seq_evals[i].sig_probes)
+          << "task " << i;
+      EXPECT_EQ(par_evals[i].sig_saturated, seq_evals[i].sig_saturated)
+          << "task " << i;
+      EXPECT_EQ(par_evals[i].sig_rejects, seq_evals[i].sig_rejects)
+          << "task " << i;
+      seq_stats.Record(seq_evals[i].outcome);
+      par_stats.Record(par_evals[i].outcome);
     }
+    EXPECT_EQ(seq_stats.total_pairs, tasks.size());
+    EXPECT_EQ(par_stats.matched, seq_stats.matched);
+    EXPECT_EQ(par_stats.refined, seq_stats.refined);
   }
 }
 
@@ -105,8 +101,7 @@ TEST_F(RefinementExecutorTest, EmptyTaskSetYieldsEmptyEvaluations) {
   Scheduler scheduler(3);
   RefinementExecutor executor(&scheduler);
   std::vector<PairEvaluation> evals(3);
-  executor.Run({}, /*use_prunings=*/true, /*signature_filter=*/true, 2.0,
-               0.5, &evals);
+  executor.Run({}, /*use_prunings=*/true, 2.0, 0.5, &evals);
   EXPECT_TRUE(evals.empty());
 }
 
