@@ -8,6 +8,21 @@
 
 namespace terids {
 
+namespace {
+
+/// Pairs a refine shard must carry before the batch is cut into more than
+/// two. Most pairs end in the cheap head of the cascade (topic or signature
+/// rejects, ~0.25 us each on Citations), so this is about a millisecond of
+/// work. Finer shards pay only while every woken worker gets a CPU of its
+/// own. On a contended host the OS may queue the woken workers on the
+/// caller's CPU instead, and the batch then runs at serial speed whatever
+/// its shard count; the more a batch gains from spread-out workers, the
+/// more its throughput swings with the host's load. Two shards keep that
+/// swing to one worker's share.
+constexpr int64_t kMinShardPairs = 4096;
+
+}  // namespace
+
 PairEvaluation RefinementExecutor::Evaluate(const Task& task,
                                             bool use_prunings,
                                             double gamma, double alpha) {
@@ -44,11 +59,15 @@ void RefinementExecutor::Run(const std::vector<Task>& tasks,
     }
     return;
   }
-  // Contiguous shards, several per worker so an expensive stretch of pairs
-  // (deep instance cross products) does not serialize the whole batch.
-  const int64_t shard_size = std::max<int64_t>(
-      1, n / (static_cast<int64_t>(scheduler_->concurrency()) * 4));
-  const int64_t num_shards = (n + shard_size - 1) / shard_size;
+  // Contiguous shards: two (the caller and one worker) unless each of more
+  // would still carry kMinShardPairs, and at most four per thread, so an
+  // expensive stretch of pairs (deep instance cross products) does not
+  // serialize a large batch.
+  const int64_t max_shards =
+      static_cast<int64_t>(scheduler_->concurrency()) * 4;
+  const int64_t num_shards = std::clamp<int64_t>(
+      n / kMinShardPairs, std::min<int64_t>(n, 2), max_shards);
+  const int64_t shard_size = (n + num_shards - 1) / num_shards;
   scheduler_->ParallelFor(ExecPhase::kRefine, num_shards, [&](int64_t shard) {
     const int64_t begin = shard * shard_size;
     const int64_t end = std::min(n, begin + shard_size);

@@ -20,8 +20,9 @@ namespace terids {
 /// evaluations into PruneStats / the match set in task (candidate) order,
 /// which reproduces the sequential loop exactly.
 ///
-/// The parallel path fans out contiguous shards of the task list, several
-/// per worker; every task runs the same Evaluate as the sequential loop.
+/// The parallel path fans out contiguous shards of the task list: two for a
+/// typical batch, more only when each carries thousands of pairs; every
+/// task runs the same Evaluate as the sequential loop.
 ///
 /// Locking model (DESIGN.md §12): the executor itself holds no mutex. Task
 /// inputs are immutable for the duration of Run, each worker writes only
