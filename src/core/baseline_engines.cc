@@ -17,8 +17,9 @@ IjGerEngine::IjGerEngine(Repository* repo, EngineConfig config,
                    /*use_prunings=*/true, "Ij+GER"),
       rules_(std::move(rules)),
       cdd_index_(repo, &rules_),
-      neighborhoods_(repo, ValueNeighborhoods::MaxRadiusPerAttr(
-                               rules_, repo->num_attributes())) {
+      postings_(repo),
+      neighborhoods_(&postings_, ValueNeighborhoods::MaxRadiusPerAttr(
+                                     rules_, repo->num_attributes())) {
   cdd_index_.Build();
 }
 

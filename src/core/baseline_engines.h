@@ -6,6 +6,7 @@
 #include "core/pipeline.h"
 #include "imputation/value_neighborhoods.h"
 #include "index/cdd_index.h"
+#include "repo/value_postings.h"
 #include "rules/rule.h"
 
 namespace terids {
@@ -27,6 +28,7 @@ class IjGerEngine : public PipelineBase {
  private:
   std::vector<CddRule> rules_;
   CddIndex cdd_index_;
+  ValuePostings postings_;
   ValueNeighborhoods neighborhoods_;
   CandidateCounts counts_;
 };

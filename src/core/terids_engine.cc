@@ -13,8 +13,10 @@ TerIdsEngine::TerIdsEngine(Repository* repo, EngineConfig config,
       rules_(std::move(rules)),
       cdd_index_(repo, &rules_),
       dr_index_(repo),
-      neighborhoods_(repo, ValueNeighborhoods::MaxRadiusPerAttr(
-                               rules_, repo->num_attributes())) {
+      postings_(repo),
+      neighborhoods_(&postings_, ValueNeighborhoods::MaxRadiusPerAttr(
+                                     rules_, repo->num_attributes())),
+      probe_overlaps_(repo->num_attributes()) {
   cdd_index_.Build();
   dr_index_.Build();
 }
@@ -50,20 +52,21 @@ std::vector<AttrBand> TerIdsEngine::BandsForRule(const CddRule& rule,
 std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
     const Record& r, const ProbeCoords& pc, CostBreakdown* cost) {
   std::vector<ImputedTuple::ImputedAttr> result;
-  // The index join evaluates each (probe attribute, sample) Jaccard
-  // distance at most once per arrival, no matter how many selected rules
-  // constrain that attribute — this memo is the "simultaneous traversal"
-  // payoff of Section 5.3 that the unindexed baselines do not get.
+  // The index join counts the probe's token intersections with dom(A_x)
+  // once per arrival and attribute, through the shared postings; every
+  // (probe, sample) distance on that attribute is then a ValueId lookup, no
+  // matter how many selected rules constrain it. This is the "simultaneous
+  // traversal" payoff of Section 5.3 that the unindexed baselines do not
+  // get.
   const int d = repo_->num_attributes();
-  dist_memo_.Clear(repo_->num_samples() * static_cast<size_t>(d));
+  uint32_t counted = 0;  // Bit x: probe_overlaps_[x] holds this arrival's.
   auto probe_sample_dist = [&](int attr, size_t sample_idx) {
-    const size_t slot = sample_idx * static_cast<size_t>(d) + attr;
-    if (!dist_memo_.IsSet(slot)) {
-      dist_memo_.Slot(slot) = JaccardDistance(
-          r.values[attr].tokens,
-          repo_->sample(sample_idx).values[attr].tokens);
+    if ((counted & (1u << attr)) == 0) {
+      postings_.Count(attr, r.values[attr].tokens, &probe_overlaps_[attr]);
+      counted |= 1u << attr;
     }
-    return dist_memo_.Get(slot);
+    return probe_overlaps_[attr].Distance(
+        repo_->sample_value_id(sample_idx, attr));
   };
   auto determinants_satisfied = [&](const CddRule& rule, size_t sample_idx) {
     for (const auto& [attr, constraint] : rule.determinants) {
@@ -91,10 +94,10 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
     // Sample retrieval: ONE pruned DR-index pass shared by all selected
     // rules. The per-attribute filter is the union of the rules' coordinate
     // bands (sound whenever every selected rule constrains the attribute);
-    // retrieved samples are verified against each rule with memoized
+    // retrieved samples are verified against each rule with posting-counted
     // probe-sample distances, and candidate values come from the
     // precomputed neighbor lists. This is the "simultaneous traversal" of
-    // Section 5.3: each distance is computed once per arrival (probe-side)
+    // Section 5.3: each distance is counted once per arrival (probe-side)
     // or once per engine lifetime (domain-side), not once per rule.
     counts_.Reset(repo_->domain_size(j));
     {
@@ -166,7 +169,7 @@ Status TerIdsEngine::AbsorbRepositoryBatch(const std::vector<Record>& batch) {
     dr_index_.InsertSample(sample_idx);
     // Widen rules the new sample violates. Samples are absorbed one at a
     // time, so each sees the batch samples before it but not after it.
-    if (miner.AbsorbNewSample(sample_idx, &rules_) > 0) {
+    if (miner.AbsorbNewSample(sample_idx, &postings_, &rules_) > 0) {
       widened = true;
     }
   }

@@ -7,8 +7,8 @@
 #include "imputation/value_neighborhoods.h"
 #include "index/cdd_index.h"
 #include "index/dr_index.h"
+#include "repo/value_postings.h"
 #include "rules/rule.h"
-#include "util/epoch_array.h"
 
 namespace terids {
 
@@ -35,8 +35,12 @@ class TerIdsEngine : public PipelineBase {
 
   /// Dynamic repository maintenance (Section 5.5): adds a batch of new
   /// complete tuples to R, extends the DR-index incrementally, and widens
-  /// CDD rules via the miner's absorb step. Once per batch it then rebuilds
-  /// the CDD-index if any rule widened and refreshes the value
+  /// CDD rules via the miner's absorb step. The absorb counts each new
+  /// sample's token intersections once per attribute through the engine's
+  /// shared postings (which grow with the domains here and stay warm), so a
+  /// sample costs one posting pass per attribute plus one ValueId lookup
+  /// per (rule, sample), not a token merge per pair. Once per batch it then
+  /// rebuilds the CDD-index if any rule widened and refreshes the value
   /// neighbourhoods (new domain values inserted, lists of an attribute whose
   /// radius changed dropped).
   Status AbsorbRepositoryBatch(const std::vector<Record>& batch);
@@ -57,10 +61,13 @@ class TerIdsEngine : public PipelineBase {
   std::vector<CddRule> rules_;
   CddIndex cdd_index_;
   DrIndex dr_index_;
+  /// Shared by the neighbourhood lists, the absorb and the probe-side
+  /// determinant check; kept warm across absorbs.
+  ValuePostings postings_;
   ValueNeighborhoods neighborhoods_;
   CandidateCounts counts_;
-  /// Per-arrival probe-sample distances, slot sample_idx * d + attr.
-  EpochArray<double> dist_memo_;
+  /// Per-arrival probe intersections, one per attribute.
+  std::vector<TokenOverlaps> probe_overlaps_;
 };
 
 }  // namespace terids

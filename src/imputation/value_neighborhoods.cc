@@ -4,15 +4,16 @@
 
 namespace terids {
 
-ValueNeighborhoods::ValueNeighborhoods(const Repository* repo,
+ValueNeighborhoods::ValueNeighborhoods(ValuePostings* postings,
                                        std::vector<double> radius)
-    : repo_(repo) {
-  TERIDS_CHECK(repo != nullptr);
-  TERIDS_CHECK(static_cast<int>(radius.size()) == repo->num_attributes());
+    : repo_(postings != nullptr ? postings->repo() : nullptr),
+      postings_(postings) {
+  TERIDS_CHECK(repo_ != nullptr);
+  TERIDS_CHECK(static_cast<int>(radius.size()) == repo_->num_attributes());
   attrs_.resize(radius.size());
   for (size_t x = 0; x < radius.size(); ++x) {
     attrs_[x].radius = radius[x];
-    attrs_[x].known_size = repo->domain_size(static_cast<int>(x));
+    attrs_[x].known_size = repo_->domain_size(static_cast<int>(x));
   }
 }
 
@@ -26,45 +27,8 @@ std::vector<double> ValueNeighborhoods::MaxRadiusPerAttr(
   return radius;
 }
 
-void ValueNeighborhoods::IndexValues(int attr, size_t from, size_t to) {
-  AttrState& st = attrs_[attr];
-  for (size_t v = from; v < to; ++v) {
-    const ValueId vid = static_cast<ValueId>(v);
-    const TokenSet& tokens = repo_->value_tokens(attr, vid);
-    if (tokens.empty()) {
-      st.empty_values.push_back(vid);
-    }
-    for (Token t : tokens) {
-      st.postings[t].push_back(vid);
-    }
-  }
-}
-
-void ValueNeighborhoods::CountIntersections(int attr, ValueId center) {
-  const AttrState& st = attrs_[attr];
-  inter_.Clear(st.known_size);
-  inter_touched_.clear();
-  for (Token t : repo_->value_tokens(attr, center)) {
-    auto it = st.postings.find(t);
-    if (it == st.postings.end()) {
-      continue;
-    }
-    for (ValueId v : it->second) {
-      if (!inter_.IsSet(v)) {
-        inter_touched_.push_back(v);
-      }
-      ++inter_.Slot(v);
-    }
-  }
-}
-
-double ValueNeighborhoods::Distance(int attr, ValueId a, ValueId b,
-                                    uint32_t inter) const {
-  // JaccardDistance's formula on a known intersection size, so distances
-  // are bit-identical to the merge-based kernel.
-  const size_t uni = repo_->value_tokens(attr, a).size() +
-                     repo_->value_tokens(attr, b).size() - inter;
-  return 1.0 - static_cast<double>(inter) / static_cast<double>(uni);
+void ValueNeighborhoods::CountAround(int attr, ValueId center) {
+  postings_->Count(attr, repo_->value_tokens(attr, center), &overlaps_);
 }
 
 Interval ValueNeighborhoods::Band(int attr, ValueId center) const {
@@ -87,19 +51,12 @@ void ValueNeighborhoods::Build(int attr, ValueId center, List* list) {
   list->implicit_tail = st.radius >= 1.0;
   // Values sharing no token with the centre are at distance exactly 1.0
   // (two empty sets are at 0.0), so only the posting hits can be near.
-  if (repo_->value_tokens(attr, center).empty()) {
-    for (ValueId v : st.empty_values) {
-      if (Admits(attr, band, v, 0.0)) {
-        list->near.emplace_back(0.0, v);
-      }
-    }
-  } else {
-    CountIntersections(attr, center);
-    for (ValueId v : inter_touched_) {
-      const double dist = Distance(attr, center, v, inter_.Get(v));
-      if (Admits(attr, band, v, dist)) {
-        list->near.emplace_back(dist, v);
-      }
+  // Hits the postings indexed beyond known_size join through Refresh().
+  CountAround(attr, center);
+  for (ValueId v : overlaps_.hits()) {
+    const double dist = overlaps_.Distance(v);
+    if (v < st.known_size && Admits(attr, band, v, dist)) {
+      list->near.emplace_back(dist, v);
     }
   }
   // Below radius 1.0 the band test and dist <= radius already dropped every
@@ -113,12 +70,11 @@ const ValueNeighborhoods::List& ValueNeighborhoods::Neighborhood(int attr,
   AttrState& st = attrs_[attr];
   // A larger vid means the domain grew without a Refresh().
   TERIDS_CHECK(vid < st.known_size);
-  if (!st.postings_built) {
+  if (!st.lists_allocated) {
     // First list of this attribute: nothing is allocated at construction,
     // so engine set-up pays nothing for attributes never imputed.
-    IndexValues(attr, 0, st.known_size);
     st.lists.resize(st.known_size);
-    st.postings_built = true;
+    st.lists_allocated = true;
   }
   List& list = st.lists[vid];
   if (!list.built) {
@@ -169,37 +125,31 @@ void ValueNeighborhoods::Refresh(std::vector<double> radius) {
     }
     TERIDS_CHECK(new_size > old_size);  // Domains only grow.
     st.known_size = new_size;
-    if (!st.postings_built) {
-      continue;  // No list is cached yet; the first build indexes it all.
+    if (!st.lists_allocated) {
+      continue;  // No list is cached yet.
     }
     st.lists.resize(new_size);
-    IndexValues(attr, old_size, new_size);
     // Sharing a token is symmetric, so a new value's own posting hits are
     // exactly the centres whose near part may gain it. New values have no
     // cached list yet; at radius >= 1.0 a value that lands in no near part
     // joins every implicit tail by growing the domain.
     for (size_t v = old_size; v < new_size; ++v) {
       const ValueId vid = static_cast<ValueId>(v);
-      auto insert = [&](ValueId center, double dist) {
-        List& list = st.lists[center];
-        if (center == vid || !list.built ||
-            !Admits(attr, Band(attr, center), vid, dist)) {
-          return;
+      CountAround(attr, vid);
+      for (ValueId center : overlaps_.hits()) {
+        if (center == vid || center >= new_size ||
+            !st.lists[center].built) {
+          continue;
         }
+        const double dist = overlaps_.Distance(center);
+        if (!Admits(attr, Band(attr, center), vid, dist)) {
+          continue;
+        }
+        List& list = st.lists[center];
         const std::pair<double, ValueId> entry(dist, vid);
         list.near.insert(
             std::upper_bound(list.near.begin(), list.near.end(), entry),
             entry);
-      };
-      if (repo_->value_tokens(attr, vid).empty()) {
-        for (ValueId center : st.empty_values) {
-          insert(center, 0.0);
-        }
-        continue;
-      }
-      CountIntersections(attr, vid);
-      for (ValueId center : inter_touched_) {
-        insert(center, Distance(attr, center, vid, inter_.Get(center)));
       }
     }
   }

@@ -2,14 +2,13 @@
 #define TERIDS_IMPUTATION_VALUE_NEIGHBORHOODS_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "imputation/candidate_counts.h"
 #include "repo/repository.h"
+#include "repo/value_postings.h"
 #include "rules/rule.h"
-#include "util/epoch_array.h"
 
 namespace terids {
 
@@ -25,11 +24,10 @@ namespace terids {
 ///
 /// - **Posting build.** Lists are built lazily, on the first slice a value
 ///   is asked for. Values that share no token with the centre are at
-///   distance exactly 1.0, so a build counts intersections through a
-///   per-attribute token -> ascending-ValueId posting list and computes
-///   distances only for the values that share a token. The sorted main-pivot
-///   coordinate band still filters them, so a list equals the band-filtered
-///   scan bit for bit.
+///   distance exactly 1.0, so a build counts intersections through the
+///   shared ValuePostings and computes distances only for the values that
+///   share a token. The sorted main-pivot coordinate band still filters
+///   them, so a list equals the band-filtered scan bit for bit.
 /// - **Implicit disjoint tail.** With radius >= 1.0 the distance-1.0 entries
 ///   are not stored: they are every domain value outside `near`, in ValueId
 ///   order, which is exactly where a (distance, ValueId) sort puts them.
@@ -52,8 +50,10 @@ class ValueNeighborhoods {
   };
 
   /// `radius[x]` caps the usable dependent-interval hi on attribute x; pass
-  /// MaxRadiusPerAttr(rules, d) for a rule set.
-  ValueNeighborhoods(const Repository* repo, std::vector<double> radius);
+  /// MaxRadiusPerAttr(rules, d) for a rule set. `postings` (over the
+  /// repository the lists describe) must outlive this object; other users
+  /// may count through it, and may sync it ahead of Refresh().
+  ValueNeighborhoods(ValuePostings* postings, std::vector<double> radius);
 
   static std::vector<double> MaxRadiusPerAttr(const std::vector<CddRule>& rules,
                                               int num_attributes);
@@ -77,27 +77,18 @@ class ValueNeighborhoods {
  private:
   struct AttrState {
     double radius = 0.0;
-    /// Domain size the lists and postings reflect.
+    /// Domain size the lists reflect. The shared postings may already
+    /// index values beyond it; Refresh() brings the lists up to date.
     size_t known_size = 0;
     /// Indexed by ValueId; `built` marks the cached ones.
     std::vector<List> lists;
-    /// Token -> ascending ValueIds carrying it.
-    std::unordered_map<Token, std::vector<ValueId>> postings;
-    /// Values with an empty token set (distance 0 to each other).
-    std::vector<ValueId> empty_values;
-    /// Whether `postings`, `empty_values` and `lists` are set up; done on
-    /// the attribute's first list.
-    bool postings_built = false;
+    /// Whether `lists` is allocated; done on the attribute's first list.
+    bool lists_allocated = false;
   };
 
-  /// Appends values [from, to) of `attr` to its postings.
-  void IndexValues(int attr, size_t from, size_t to);
   void Build(int attr, ValueId center, List* list);
-  /// Counts |tokens(v) ∩ tokens(center)| into inter_ for every v sharing a
-  /// token with `center`, listing those v in inter_touched_.
-  void CountIntersections(int attr, ValueId center);
-  /// JaccardDistance(a, b) given their intersection size.
-  double Distance(int attr, ValueId a, ValueId b, uint32_t inter) const;
+  /// Counts the intersections of value `center`'s tokens into overlaps_.
+  void CountAround(int attr, ValueId center);
   /// Main-pivot coordinate band of `center` at the attribute's radius.
   Interval Band(int attr, ValueId center) const;
   /// The membership test of the scan build: value `v` at distance `dist`
@@ -105,10 +96,10 @@ class ValueNeighborhoods {
   bool Admits(int attr, const Interval& band, ValueId v, double dist) const;
 
   const Repository* repo_;
+  ValuePostings* postings_;
   std::vector<AttrState> attrs_;
-  // Build scratch, indexed by ValueId.
-  EpochArray<uint32_t> inter_;
-  std::vector<ValueId> inter_touched_;
+  // Build scratch.
+  TokenOverlaps overlaps_;
 };
 
 }  // namespace terids

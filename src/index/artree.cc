@@ -243,39 +243,4 @@ bool ArTree::Remove(int64_t payload) {
   return true;
 }
 
-void ArTree::Query(const NodePredicate& should_visit,
-                   const EntryVisitor& on_entry) const {
-  last_query_leaves_visited = 0;
-  if (root_ == -1) {
-    return;
-  }
-  QueryRec(root_, should_visit, on_entry);
-}
-
-void ArTree::QueryRec(int node_id, const NodePredicate& should_visit,
-                      const EntryVisitor& on_entry) const {
-  const Node& node = nodes_[node_id];
-  if (node.leaf && node.entry_ids.empty()) {
-    return;
-  }
-  NodeView view{node.box, node.agg, node.leaf,
-                static_cast<int>(node.leaf ? node.entry_ids.size()
-                                           : node.children.size())};
-  if (!should_visit(view)) {
-    return;
-  }
-  if (node.leaf) {
-    ++last_query_leaves_visited;
-    for (int eid : node.entry_ids) {
-      if (entry_live_[eid]) {
-        on_entry(entries_[eid]);
-      }
-    }
-    return;
-  }
-  for (int child : node.children) {
-    QueryRec(child, should_visit, on_entry);
-  }
-}
-
 }  // namespace terids

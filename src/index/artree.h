@@ -2,7 +2,6 @@
 #define TERIDS_INDEX_ARTREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -55,9 +54,6 @@ class ArTree {
     int num_children;
   };
 
-  using NodePredicate = std::function<bool(const NodeView&)>;
-  using EntryVisitor = std::function<void(const ArTreeEntry&)>;
-
   explicit ArTree(int dims, int fanout = 16);
 
   /// Replaces the tree contents. Every entry's box must have `dims`
@@ -70,16 +66,20 @@ class ArTree {
   /// Removes the entry with this payload. Returns false if absent.
   bool Remove(int64_t payload);
 
-  /// Depth-first traversal. `should_visit` gates every node (including the
-  /// root); entries of visited leaves are passed to `on_entry`.
+  /// Depth-first traversal. `should_visit(const NodeView&) -> bool` gates
+  /// every node (including the root); entries of visited leaves are passed
+  /// to `on_entry(const ArTreeEntry&)`. Both are template parameters, so the
+  /// index probes inline them instead of calling through std::function.
+  template <typename NodePredicate, typename EntryVisitor>
   void Query(const NodePredicate& should_visit,
-             const EntryVisitor& on_entry) const;
+             const EntryVisitor& on_entry) const {
+    if (root_ != -1) {
+      QueryRec(root_, should_visit, on_entry);
+    }
+  }
 
   size_t size() const { return live_entries_; }
   int dims() const { return dims_; }
-  /// Number of leaf nodes whose predicate passed in the last Query call
-  /// (complexity accounting, Section 5.1).
-  mutable uint64_t last_query_leaves_visited = 0;
 
  private:
   struct Node {
@@ -95,6 +95,7 @@ class ArTree {
                int parent);
   void RecomputeNode(int node_id);
   void RecomputePath(int node_id);
+  template <typename NodePredicate, typename EntryVisitor>
   void QueryRec(int node_id, const NodePredicate& should_visit,
                 const EntryVisitor& on_entry) const;
   static void ExtendBox(std::vector<Interval>* box,
@@ -110,6 +111,32 @@ class ArTree {
   std::unordered_map<int64_t, int> payload_to_leaf_;
   std::unordered_map<int64_t, int> payload_to_entry_;
 };
+
+template <typename NodePredicate, typename EntryVisitor>
+void ArTree::QueryRec(int node_id, const NodePredicate& should_visit,
+                      const EntryVisitor& on_entry) const {
+  const Node& node = nodes_[node_id];
+  if (node.leaf && node.entry_ids.empty()) {
+    return;
+  }
+  const NodeView view{node.box, node.agg, node.leaf,
+                      static_cast<int>(node.leaf ? node.entry_ids.size()
+                                                 : node.children.size())};
+  if (!should_visit(view)) {
+    return;
+  }
+  if (node.leaf) {
+    for (int eid : node.entry_ids) {
+      if (entry_live_[eid]) {
+        on_entry(entries_[eid]);
+      }
+    }
+    return;
+  }
+  for (int child : node.children) {
+    QueryRec(child, should_visit, on_entry);
+  }
+}
 
 }  // namespace terids
 

@@ -92,9 +92,9 @@ bool CddIndex::RemoveRule(int rule_idx) {
   return false;
 }
 
-void CddIndex::ProbeGroup(
-    const Group& group, const Record& r, const ProbeCoords& pc,
-    const std::function<void(const CddRule&, int)>& on_rule) const {
+template <typename OnRule>
+void CddIndex::ProbeGroup(const Group& group, const Record& r,
+                          const ProbeCoords& pc, const OnRule& on_rule) const {
   group.tree.Query(
       [&](const ArTree::NodeView& node) {
         // Per determinant dimension, the node must contain the interval
@@ -133,12 +133,10 @@ void CddIndex::ProbeGroup(
         }
         on_rule(rule, rule_idx);
       });
-  last_leaves_ += group.tree.last_query_leaves_visited;
 }
 
 std::vector<int> CddIndex::SelectRules(const Record& r, const ProbeCoords& pc,
                                        int dependent) const {
-  last_leaves_ = 0;
   std::vector<int> out;
   const uint32_t missing = r.MissingMask();
   for (const Group& group : groups_) {

@@ -50,7 +50,6 @@ class CddIndex {
                                 int dependent) const;
 
   size_t num_groups() const { return groups_.size(); }
-  uint64_t last_query_leaves_visited() const { return last_leaves_; }
 
  private:
   struct Group {
@@ -63,13 +62,15 @@ class CddIndex {
 
   ArTreeEntry MakeEntry(int rule_idx) const;
   int FindOrAddGroup(int dependent, uint32_t det_mask);
+  /// Passes every rule of `group` compatible with the probe to
+  /// `on_rule(const CddRule&, int rule_idx)`.
+  template <typename OnRule>
   void ProbeGroup(const Group& group, const Record& r, const ProbeCoords& pc,
-                  const std::function<void(const CddRule&, int)>& on_rule) const;
+                  const OnRule& on_rule) const;
 
   const Repository* repo_;
   const std::vector<CddRule>* rules_;
   std::vector<Group> groups_;
-  mutable uint64_t last_leaves_ = 0;
 };
 
 }  // namespace terids

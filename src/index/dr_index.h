@@ -49,9 +49,6 @@ class DrIndex {
   std::vector<size_t> Retrieve(const std::vector<AttrBand>& bands) const;
 
   size_t size() const { return tree_.size(); }
-  uint64_t last_query_leaves_visited() const {
-    return tree_.last_query_leaves_visited;
-  }
 
  private:
   ArTreeEntry MakeEntry(size_t sample_idx) const;

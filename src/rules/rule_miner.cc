@@ -289,26 +289,90 @@ std::vector<CddRule> RuleMiner::MineEditingRules() const {
   return rules;
 }
 
-int RuleMiner::AbsorbNewSample(size_t sample_idx,
+int RuleMiner::AbsorbNewSample(size_t sample_idx, ValuePostings* postings,
                                std::vector<CddRule>* rules) const {
   TERIDS_CHECK(rules != nullptr);
+  TERIDS_CHECK(postings != nullptr && postings->repo() == repo_);
   TERIDS_CHECK(sample_idx < repo_->num_samples());
-  const Record& s_new = repo_->sample(sample_idx);
+  const size_t n = repo_->num_samples();
+  const int d = repo_->num_attributes();
+  // Per attribute, filled on first use: every sample's ValueId, and every
+  // sample's distance to the new sample. The distances come from one
+  // posting count of the new value: JaccardDistance bit for bit, with the
+  // values sharing no token at exactly 1.0 (0.0 when both sets are empty).
+  std::vector<std::vector<ValueId>> vids(d);
+  std::vector<std::vector<double>> dists(d);
+  TokenOverlaps overlaps;
+  auto vid_column = [&](int attr) -> const std::vector<ValueId>& {
+    std::vector<ValueId>& col = vids[attr];
+    if (col.empty()) {
+      col.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        col[i] = repo_->sample_value_id(i, attr);
+      }
+    }
+    return col;
+  };
+  auto dist_column = [&](int attr) -> const std::vector<double>& {
+    std::vector<double>& col = dists[attr];
+    if (col.empty()) {
+      const std::vector<ValueId>& ids = vid_column(attr);
+      postings->Count(attr, repo_->value_tokens(attr, ids[sample_idx]),
+                      &overlaps);
+      col.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        col[i] = overlaps.Distance(ids[i]);
+      }
+    }
+    return col;
+  };
+
+  // One determinant test as a column over the samples: a ValueId equality
+  // for a constant, an interval test on the distance otherwise.
+  struct Test {
+    const AttrConstraint* constraint;
+    const ValueId* vids;
+    const double* dists;
+  };
+  std::vector<Test> tests;
   int widened = 0;
   for (CddRule& rule : *rules) {
+    // r1[A_x] = r2[A_x] = v (Definition 3): no pair with the new sample meets
+    // a constant it does not carry. Domains are deduplicated by token set,
+    // so token equality with the constant is ValueId equality.
+    bool carries_constants = true;
+    tests.clear();
+    for (const auto& [attr, constraint] : rule.determinants) {
+      if (constraint.kind == AttrConstraint::Kind::kConstant) {
+        if (repo_->sample_value_id(sample_idx, attr) !=
+            constraint.constant_vid) {
+          carries_constants = false;
+          break;
+        }
+        tests.push_back({&constraint, vid_column(attr).data(), nullptr});
+      } else {
+        tests.push_back({&constraint, nullptr, dist_column(attr).data()});
+      }
+    }
+    if (!carries_constants) {
+      continue;
+    }
+    const std::vector<double>& dep = dist_column(rule.dependent);
     bool rule_widened = false;
-    for (size_t other = 0; other < repo_->num_samples(); ++other) {
+    for (size_t other = 0; other < n; ++other) {
       if (other == sample_idx) continue;
-      // Treat s_new as the probe record r: the determinant check is
-      // symmetric in the two tuples for both constraint kinds.
-      if (!rule.DeterminantsSatisfied(s_new, *repo_, other)) {
+      bool satisfied = true;
+      for (const Test& test : tests) {
+        satisfied = test.vids != nullptr
+                        ? test.vids[other] == test.constraint->constant_vid
+                        : test.constraint->interval.Contains(test.dists[other]);
+        if (!satisfied) break;
+      }
+      if (!satisfied) {
         continue;
       }
-      const double dep_dist =
-          JaccardDistance(s_new.values[rule.dependent].tokens,
-                          repo_->sample(other).values[rule.dependent].tokens);
-      if (!rule.dep_interval.Contains(dep_dist)) {
-        rule.dep_interval.Cover(dep_dist);
+      if (!rule.dep_interval.Contains(dep[other])) {
+        rule.dep_interval.Cover(dep[other]);
         rule_widened = true;
       }
       ++rule.support;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "repo/repository.h"
+#include "repo/value_postings.h"
 #include "rules/rule.h"
 
 namespace terids {
@@ -85,7 +86,13 @@ class RuleMiner {
   /// meets, but whose dependent constraint that pair violates, gets its
   /// dependent interval widened to cover the pair. Returns the number of
   /// rules widened.
-  int AbsorbNewSample(size_t sample_idx, std::vector<CddRule>* rules) const;
+  ///
+  /// Distances to the new sample are counted once per attribute through
+  /// `postings` (over this miner's repository), so each (rule, sample)
+  /// check is a ValueId lookup; a rule whose constant the new sample does
+  /// not carry is skipped without a scan.
+  int AbsorbNewSample(size_t sample_idx, ValuePostings* postings,
+                      std::vector<CddRule>* rules) const;
 
  private:
   struct PairSample {

@@ -158,8 +158,9 @@ TEST(ValueNeighborhoodsTest, ListsEqualScanBuild) {
   ToyWorld world = MakeWorldWithEmptyValues();
   const Repository& repo = *world.repo;
   for (const double r : {0.3, 0.8, 1.0}) {
+    ValuePostings postings(world.repo.get());
     ValueNeighborhoods neighborhoods(
-        world.repo.get(), std::vector<double>(repo.num_attributes(), r));
+        &postings, std::vector<double>(repo.num_attributes(), r));
     for (int attr = 0; attr < repo.num_attributes(); ++attr) {
       for (ValueId center = 0; center < repo.domain_size(attr); ++center) {
         const ValueNeighborhoods::List& list =
@@ -190,8 +191,9 @@ TEST(ValueNeighborhoodsTest, SlicesMatchBruteForce) {
     if (r >= 1.0) {
       deps.insert(deps.end(), with_one.begin(), with_one.end());
     }
+    ValuePostings postings(world.repo.get());
     ValueNeighborhoods neighborhoods(
-        world.repo.get(), std::vector<double>(repo.num_attributes(), r));
+        &postings, std::vector<double>(repo.num_attributes(), r));
     CandidateCounts counts;
     for (int attr = 0; attr < repo.num_attributes(); ++attr) {
       const size_t n = repo.domain_size(attr);
@@ -234,12 +236,17 @@ TEST(ValueNeighborhoodsTest, RefreshAfterGrowthEqualsColdRebuild) {
     ToyWorld world = MakeHealthWorld();
     Repository& repo = *world.repo;
     const std::vector<double> radius(repo.num_attributes(), r);
-    ValueNeighborhoods warm(world.repo.get(), radius);
+    ValuePostings shared(world.repo.get());
+    ValueNeighborhoods warm(&shared, radius);
+    // Every list but treatment's value 0 ("dietary therapy drug therapy"),
+    // which is built below, between the growth and the Refresh.
     std::vector<size_t> before(repo.num_attributes());
     for (int attr = 0; attr < repo.num_attributes(); ++attr) {
       before[attr] = repo.domain_size(attr);
       for (ValueId v = 0; v < before[attr]; ++v) {
-        warm.Neighborhood(attr, v);
+        if (attr != 3 || v != 0) {
+          warm.Neighborhood(attr, v);
+        }
       }
     }
     // New values sharing tokens with cached centres, a disjoint one and an
@@ -250,9 +257,19 @@ TEST(ValueNeighborhoodsTest, RefreshAfterGrowthEqualsColdRebuild) {
       repo.RegisterValue(3, tok.Tokenize(text), text);
     }
     repo.RegisterValue(1, tok.Tokenize("fever thirst"), "fever thirst");
+    // Another user of the shared postings (the absorb, in the engine) counts
+    // before the Refresh and so indexes the new values first.
+    TokenOverlaps overlaps;
+    for (int attr = 0; attr < repo.num_attributes(); ++attr) {
+      shared.Count(attr, repo.value_tokens(attr, 0), &overlaps);
+    }
+    // A list built before the Refresh must not pick the new values up early
+    // (Refresh inserts them), even though the postings already carry them.
+    warm.Neighborhood(3, 0);
     warm.Refresh(radius);
 
-    ValueNeighborhoods cold(world.repo.get(), radius);
+    ValuePostings own(world.repo.get());
+    ValueNeighborhoods cold(&own, radius);
     for (int attr = 0; attr < repo.num_attributes(); ++attr) {
       for (ValueId v = 0; v < repo.domain_size(attr); ++v) {
         const ValueNeighborhoods::List& w = warm.Neighborhood(attr, v);
@@ -271,7 +288,8 @@ TEST(ValueNeighborhoodsTest, RefreshWithWiderRadiusRebuildsLists) {
   const Repository& repo = *world.repo;
   const int attr = 3;
   std::vector<double> radius(repo.num_attributes(), 0.5);
-  ValueNeighborhoods neighborhoods(world.repo.get(), radius);
+  ValuePostings postings(world.repo.get());
+  ValueNeighborhoods neighborhoods(&postings, radius);
   for (ValueId v = 0; v < repo.domain_size(attr); ++v) {
     neighborhoods.Neighborhood(attr, v);
   }

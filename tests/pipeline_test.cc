@@ -14,6 +14,7 @@
 #include "eval/metrics.h"
 #include "imputation/rule_based_imputer.h"
 #include "stream/stream_driver.h"
+#include "test_util.h"
 
 namespace terids {
 namespace {
@@ -227,7 +228,10 @@ TEST_F(PipelineIntegrationTest, DynamicRepositoryAbsorption) {
 /// radius the value neighbourhoods were built for (here attribute 3's went
 /// from 0 to 1.0) used to leave the lists at the old radius, silently
 /// dropping candidates. The warm engine must keep imputing exactly like a
-/// freshly built engine and like the linear rule scan.
+/// freshly built engine and like the linear rule scan, and its widened rules
+/// must equal the brute-force absorb scan's. Run on both storage backends:
+/// the snapshot's overlay domains hand out global ValueIds, which the
+/// absorb's ValueId-keyed distances and constant tests rely on.
 TEST(AbsorbRegressionTest, WidenedRadiusKeepsImputationsExact) {
   ExperimentParams params;
   params.scale = 0.004;
@@ -238,64 +242,78 @@ TEST(AbsorbRegressionTest, WidenedRadiusKeepsImputationsExact) {
   params.max_arrivals = 2000;
   params.seed = 64 * 101 + 3;
   Experiment exp(SongsProfile(), params);
-  std::unique_ptr<Repository> repo = exp.BuildRepository();
-  const EngineConfig config = exp.MakeConfig();
-  ImputeProbe engine(repo.get(), config, 2, exp.cdds());
-  std::unordered_map<int64_t, const Record*> complete;
-  for (const Record& r : exp.dataset().source_a) complete[r.rid] = &r;
-  for (const Record& r : exp.dataset().source_b) complete[r.rid] = &r;
+  for (const RepoBackend backend :
+       {RepoBackend::kInMemory, RepoBackend::kMmapSnapshot}) {
+    std::unique_ptr<Repository> repo = exp.BuildRepository(backend);
+    SCOPED_TRACE(repo->backend_name());
+    EngineConfig config = exp.MakeConfig();
+    config.repo_backend = backend;
+    ImputeProbe engine(repo.get(), config, 2, exp.cdds());
+    std::unordered_map<int64_t, const Record*> complete;
+    for (const Record& r : exp.dataset().source_a) complete[r.rid] = &r;
+    for (const Record& r : exp.dataset().source_b) complete[r.rid] = &r;
 
-  RuleImputerOptions linear_opts;
-  linear_opts.max_candidates_per_attr = config.max_candidates_per_attr;
-  // The engine imputes every arrival (that is what warms its lists; the ER
-  // phase does not touch them). The references are slower, so the fresh
-  // engine checks every 2nd arrival and the linear scan every 16th (before
-  // the absorb, both every 20th).
-  size_t compared = 0;
-  auto expect_exact = [&](ImputeProbe* fresh, RuleBasedImputer* linear,
-                          const Record& r) {
-    const auto got = engine.ImputeOnly(r);
-    if (fresh != nullptr) {
-      EXPECT_TRUE(SameImputation(got, fresh->ImputeOnly(r))) << "rid " << r.rid;
-      compared += got.size();
-    }
-    if (linear != nullptr) {
-      EXPECT_TRUE(SameImputation(got, linear->ImputeRecord(r, nullptr)))
-          << "rid " << r.rid;
-    }
-  };
+    RuleImputerOptions linear_opts;
+    linear_opts.max_candidates_per_attr = config.max_candidates_per_attr;
+    // The engine imputes every arrival (that is what warms its lists; the
+    // ER phase does not touch them). The references are slower, so the
+    // fresh engine checks every 2nd arrival and the linear scan every 16th
+    // (before the absorb, both every 20th).
+    size_t compared = 0;
+    auto expect_exact = [&](ImputeProbe* fresh, RuleBasedImputer* linear,
+                            const Record& r) {
+      const auto got = engine.ImputeOnly(r);
+      if (fresh != nullptr) {
+        EXPECT_TRUE(SameImputation(got, fresh->ImputeOnly(r)))
+            << "rid " << r.rid;
+        compared += got.size();
+      }
+      if (linear != nullptr) {
+        EXPECT_TRUE(SameImputation(got, linear->ImputeRecord(r, nullptr)))
+            << "rid " << r.rid;
+      }
+    };
 
-  StreamDriver driver({exp.incomplete_a(), exp.incomplete_b()});
-  std::vector<Record> arrived;
-  {
-    ImputeProbe fresh(repo.get(), config, 2, exp.cdds());
-    RuleBasedImputer linear(repo.get(), exp.cdds(), linear_opts);
-    for (int i = 0; i < 1000 && driver.HasNext(); ++i) {
-      arrived.push_back(driver.Next());
-      const bool check = i % 20 == 0;
-      expect_exact(check ? &fresh : nullptr, check ? &linear : nullptr,
-                   arrived.back());
+    StreamDriver driver({exp.incomplete_a(), exp.incomplete_b()});
+    std::vector<Record> arrived;
+    {
+      ImputeProbe fresh(repo.get(), config, 2, exp.cdds());
+      RuleBasedImputer linear(repo.get(), exp.cdds(), linear_opts);
+      for (int i = 0; i < 1000 && driver.HasNext(); ++i) {
+        arrived.push_back(driver.Next());
+        const bool check = i % 20 == 0;
+        expect_exact(check ? &fresh : nullptr, check ? &linear : nullptr,
+                     arrived.back());
+      }
     }
-  }
-  ASSERT_EQ(arrived.size(), 1000u);
-  std::vector<Record> batch;
-  for (size_t k = 0; k < 50; ++k) {
-    batch.push_back(*complete.at(arrived[arrived.size() - 1 - k].rid));
-  }
-  const std::vector<double> radius_before =
-      ValueNeighborhoods::MaxRadiusPerAttr(exp.cdds(), repo->num_attributes());
-  ASSERT_TRUE(engine.AbsorbRepositoryBatch(batch).ok());
-  const std::vector<double> radius_after = ValueNeighborhoods::MaxRadiusPerAttr(
-      engine.rules(), repo->num_attributes());
-  EXPECT_LT(radius_before[3], radius_after[3]);  // The case this pins.
+    ASSERT_EQ(arrived.size(), 1000u);
+    std::vector<Record> batch;
+    for (size_t k = 0; k < 50; ++k) {
+      batch.push_back(*complete.at(arrived[arrived.size() - 1 - k].rid));
+    }
+    const std::vector<double> radius_before =
+        ValueNeighborhoods::MaxRadiusPerAttr(exp.cdds(),
+                                             repo->num_attributes());
+    const size_t first_new = repo->num_samples();
+    ASSERT_TRUE(engine.AbsorbRepositoryBatch(batch).ok());
+    const std::vector<double> radius_after =
+        ValueNeighborhoods::MaxRadiusPerAttr(engine.rules(),
+                                             repo->num_attributes());
+    EXPECT_LT(radius_before[3], radius_after[3]);  // The case this pins.
+    std::vector<CddRule> oracle = exp.cdds();
+    for (size_t idx = first_new; idx < repo->num_samples(); ++idx) {
+      testing_util::BruteForceAbsorb(*repo, idx, &oracle);
+    }
+    EXPECT_EQ(testing_util::RuleSetDiff(engine.rules(), oracle), "");
 
-  ImputeProbe fresh(repo.get(), config, 2, engine.rules());
-  RuleBasedImputer linear(repo.get(), engine.rules(), linear_opts);
-  for (int i = 0; driver.HasNext(); ++i) {
-    expect_exact(i % 2 == 0 ? &fresh : nullptr,
-                 i % 16 == 0 ? &linear : nullptr, driver.Next());
+    ImputeProbe fresh(repo.get(), config, 2, engine.rules());
+    RuleBasedImputer linear(repo.get(), engine.rules(), linear_opts);
+    for (int i = 0; driver.HasNext(); ++i) {
+      expect_exact(i % 2 == 0 ? &fresh : nullptr,
+                   i % 16 == 0 ? &linear : nullptr, driver.Next());
+    }
+    EXPECT_GT(compared, 500u);
   }
-  EXPECT_GT(compared, 500u);
 }
 
 /// Async ingest runs only as the Scheduler's kIngest chain: asking for an

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "repo/repository.h"
+#include "repo/value_postings.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -210,6 +212,82 @@ TEST(RepositoryTest, CoordRangeEndpointsAreInclusiveHits) {
   const double above = std::nextafter(c, 2.0);
   EXPECT_FALSE(contains(Interval::Of(0.0, below)));
   EXPECT_FALSE(contains(Interval::Of(above, 1.0)));
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+/// A random token set over a 40-token vocabulary with Zipf-skewed token
+/// frequencies: a few tokens land in most sets, most in few. Sizes run
+/// 0..6, so empty sets occur.
+TokenSet RandomTokens(Rng* rng) {
+  const int n = static_cast<int>(rng->NextBounded(7));
+  std::vector<Token> tokens;
+  for (int i = 0; i < n; ++i) {
+    tokens.push_back(static_cast<Token>(rng->NextZipf(40, 1.1)));
+  }
+  return TokenSet::FromTokens(std::move(tokens));
+}
+
+/// Every value's posting-count distance to `query` equals JaccardDistance
+/// bit for bit, and the hits are exactly the values below distance 1.0.
+void ExpectCountsMatchJaccard(const Repository& repo, int attr,
+                              ValuePostings* postings, const TokenSet& query) {
+  TokenOverlaps overlaps;
+  postings->Count(attr, query, &overlaps);
+  std::vector<ValueId> hits = overlaps.hits();
+  std::sort(hits.begin(), hits.end());
+  std::vector<ValueId> near;
+  for (ValueId v = 0; v < repo.domain_size(attr); ++v) {
+    const double want = JaccardDistance(query, repo.value_tokens(attr, v));
+    EXPECT_EQ(Bits(overlaps.Distance(v)), Bits(want))
+        << "attr " << attr << " value " << v << " query size " << query.size();
+    if (want < 1.0) {
+      near.push_back(v);
+    }
+  }
+  EXPECT_EQ(hits, near) << "attr " << attr << " query size " << query.size();
+}
+
+TEST(ValuePostingsTest, CountDistancesEqualJaccardAcrossGrowth) {
+  ToyWorld world = MakeHealthWorld();
+  Repository& repo = *world.repo;
+  Rng rng(7);
+  const int attrs[] = {1, 3};
+  for (int attr : attrs) {
+    repo.RegisterValue(attr, TokenSet(), "");
+    for (int i = 0; i < 60; ++i) {
+      repo.RegisterValue(attr, RandomTokens(&rng), "random");
+    }
+  }
+  ValuePostings postings(world.repo.get());
+  auto check_all = [&] {
+    for (int attr : attrs) {
+      ExpectCountsMatchJaccard(repo, attr, &postings, TokenSet());
+      for (ValueId v = 0; v < repo.domain_size(attr); ++v) {
+        ExpectCountsMatchJaccard(repo, attr, &postings,
+                                 repo.value_tokens(attr, v));
+      }
+      for (int q = 0; q < 40; ++q) {
+        ExpectCountsMatchJaccard(repo, attr, &postings, RandomTokens(&rng));
+      }
+    }
+  };
+  check_all();
+  // The domain grows after the postings were built: new values, some with
+  // tokens the postings have never seen, are picked up by the next Count.
+  const size_t before = repo.domain_size(3);
+  for (int i = 0; i < 30; ++i) {
+    std::vector<Token> fresh = {static_cast<Token>(100 + i % 7),
+                                static_cast<Token>(rng.NextZipf(40, 1.1))};
+    repo.RegisterValue(3, TokenSet::FromTokens(std::move(fresh)), "fresh");
+    repo.RegisterValue(1, RandomTokens(&rng), "random");
+  }
+  ASSERT_GT(repo.domain_size(3), before);
+  check_all();
 }
 
 }  // namespace

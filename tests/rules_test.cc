@@ -7,7 +7,9 @@
 namespace terids {
 namespace {
 
+using testing_util::BruteForceAbsorb;
 using testing_util::MakeHealthWorld;
+using testing_util::RuleSetDiff;
 using testing_util::ToyWorld;
 
 CddRule IntervalRule(int dependent, int det_attr, double lo, double hi,
@@ -188,12 +190,94 @@ TEST_F(MinerTest, AbsorbNewSampleWidensViolatedRules) {
   Record oddball = world_.Make(
       3000, {"male", "loss of weight", "zebra fever syndrome", "surgery"});
   ASSERT_TRUE(world_.repo->AddSample(oddball).ok());
-  const int widened =
-      miner.AbsorbNewSample(world_.repo->num_samples() - 1, &rules);
+  ValuePostings postings(world_.repo.get());
+  const int widened = miner.AbsorbNewSample(world_.repo->num_samples() - 1,
+                                            &postings, &rules);
   EXPECT_GT(widened, 0);
   for (const CddRule& rule : rules) {
     EXPECT_LE(rule.dep_interval.lo, rule.dep_interval.hi);
   }
+}
+
+TEST_F(MinerTest, AbsorbMatchesBruteForceScan) {
+  Repository& repo = *world_.repo;
+  // Two repository samples with empty token sets (not missing) on symptom
+  // and treatment, so pairs of empty sets (distance 0.0) reach both the
+  // determinant checks and the dependent distance.
+  for (int64_t rid : {2000, 2001}) {
+    ASSERT_TRUE(
+        repo.AddSample(world_.Make(rid, {"male", "", "diabetes", ""})).ok());
+  }
+  MinerOptions opts;
+  opts.min_support = 2;
+  opts.min_const_freq = 2;
+  RuleMiner miner(world_.repo.get(), opts);
+  std::vector<std::vector<CddRule>> rule_sets = {
+      miner.MineCdds(), miner.MineDds(), miner.MineEditingRules()};
+  // Hand-written rules for the cases mining may not emit: exact-match
+  // intervals that pairs of empty sets satisfy, an interval that admits
+  // only disjoint values, a constant next to an interval, and a constant
+  // no new sample carries.
+  const ValueId male = repo.FindValue(0, world_.Make(0, {"male", "", "", ""})
+                                             .values[0]
+                                             .tokens);
+  ASSERT_NE(male, kInvalidValueId);
+  std::vector<CddRule> hand = {
+      IntervalRule(/*dependent=*/3, /*det=*/1, 0.0, 0.0, 0.0, 0.1),
+      IntervalRule(/*dependent=*/2, /*det=*/3, 0.0, 0.0, 0.0, 0.0),
+      IntervalRule(/*dependent=*/1, /*det=*/2, 1.0, 1.0, 0.2, 0.3)};
+  CddRule mixed = IntervalRule(/*dependent=*/3, /*det=*/1, 0.0, 0.5, 0.0, 0.1);
+  mixed.det_mask |= 1u;
+  mixed.determinants.insert(mixed.determinants.begin(),
+                            {0, AttrConstraint::MakeConstant(male)});
+  hand.push_back(mixed);
+  CddRule unused_constant = mixed;
+  unused_constant.determinants[0].second =
+      AttrConstraint::MakeConstant(repo.domain_size(0) - 1);  // "female".
+  hand.push_back(unused_constant);
+  rule_sets.push_back(hand);
+  for (const std::vector<CddRule>& rules : rule_sets) {
+    ASSERT_FALSE(rules.empty());
+  }
+
+  // Absorbed one at a time; later samples register new domain values
+  // ("zebra", "brand new", "tiredness"), repeat earlier ones or are empty.
+  const std::vector<std::vector<std::string>> batch = {
+      {"male", "", "diabetes", ""},
+      {"male", "loss of weight", "zebra fever", "drug therapy"},
+      {"female", "fever cough", "flu", ""},
+      {"male", "blurred vision tiredness", "diabetes", "brand new therapy"},
+      {"male", "", "", "drug therapy"},
+      {"female", "fever cough", "flu", "sleep more"},
+  };
+  std::vector<std::vector<CddRule>> oracle = rule_sets;
+  ValuePostings postings(world_.repo.get());
+  int total_widened = 0;
+  for (size_t k = 0; k < batch.size(); ++k) {
+    const size_t domain_before = repo.domain_size(1) + repo.domain_size(2) +
+                                 repo.domain_size(3);
+    ASSERT_TRUE(
+        repo.AddSample(world_.Make(static_cast<int64_t>(3000 + k), batch[k]))
+            .ok());
+    if (k == 1 || k == 3) {
+      EXPECT_GT(repo.domain_size(1) + repo.domain_size(2) +
+                    repo.domain_size(3),
+                domain_before);
+    }
+    const size_t idx = repo.num_samples() - 1;
+    for (size_t set = 0; set < rule_sets.size(); ++set) {
+      const int got = miner.AbsorbNewSample(idx, &postings, &rule_sets[set]);
+      const int want = BruteForceAbsorb(repo, idx, &oracle[set]);
+      EXPECT_EQ(got, want) << "sample " << k << " rule set " << set;
+      EXPECT_EQ(RuleSetDiff(rule_sets[set], oracle[set]), "")
+          << "sample " << k << " rule set " << set;
+      total_widened += got;
+    }
+  }
+  EXPECT_GT(total_widened, 0);
+  // The exact-match rule on symptom was met only by pairs of empty
+  // symptoms.
+  EXPECT_GT(rule_sets[3][0].support, 0);
 }
 
 }  // namespace

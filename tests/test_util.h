@@ -1,12 +1,14 @@
 #ifndef TERIDS_TESTS_TEST_UTIL_H_
 #define TERIDS_TESTS_TEST_UTIL_H_
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "pivot/pivot_selector.h"
 #include "repo/repository.h"
+#include "rules/rule.h"
 #include "text/token_dict.h"
 #include "text/tokenizer.h"
 #include "tuple/record.h"
@@ -77,6 +79,68 @@ inline ToyWorld MakeHealthWorld() {
   PivotSelector selector(world.repo.get(), popts);
   world.repo->AttachPivots(selector.SelectAll());
   return world;
+}
+
+/// Brute-force oracle of RuleMiner::AbsorbNewSample: every rule against
+/// every sample present when `sample_idx` was added (those before it), with
+/// a token merge per determinant check and per dependent distance.
+inline int BruteForceAbsorb(const Repository& repo, size_t sample_idx,
+                            std::vector<CddRule>* rules) {
+  const Record& s_new = repo.sample(sample_idx);
+  int widened = 0;
+  for (CddRule& rule : *rules) {
+    bool rule_widened = false;
+    for (size_t other = 0; other < sample_idx; ++other) {
+      if (!rule.DeterminantsSatisfied(s_new, repo, other)) {
+        continue;
+      }
+      const double dep_dist =
+          JaccardDistance(s_new.values[rule.dependent].tokens,
+                          repo.sample(other).values[rule.dependent].tokens);
+      if (!rule.dep_interval.Contains(dep_dist)) {
+        rule.dep_interval.Cover(dep_dist);
+        rule_widened = true;
+      }
+      ++rule.support;
+    }
+    if (rule_widened) {
+      ++widened;
+    }
+  }
+  return widened;
+}
+
+/// The first difference between two rule sets (determinants, dependent
+/// interval endpoints compared with ==, support), or "" when they agree.
+inline std::string RuleSetDiff(const std::vector<CddRule>& a,
+                               const std::vector<CddRule>& b) {
+  if (a.size() != b.size()) {
+    return "rule counts differ";
+  }
+  char buf[160];
+  for (size_t i = 0; i < a.size(); ++i) {
+    const CddRule& x = a[i];
+    const CddRule& y = b[i];
+    bool same_dets = x.determinants.size() == y.determinants.size();
+    for (size_t k = 0; same_dets && k < x.determinants.size(); ++k) {
+      const AttrConstraint& cx = x.determinants[k].second;
+      const AttrConstraint& cy = y.determinants[k].second;
+      same_dets = x.determinants[k].first == y.determinants[k].first &&
+                  cx.kind == cy.kind && cx.interval == cy.interval &&
+                  cx.constant_vid == cy.constant_vid;
+    }
+    if (x.dependent != y.dependent || x.det_mask != y.det_mask ||
+        !same_dets || !(x.dep_interval == y.dep_interval) ||
+        x.support != y.support) {
+      std::snprintf(buf, sizeof(buf),
+                    "rule %zu: I=[%.17g,%.17g] sup=%d vs I=[%.17g,%.17g] "
+                    "sup=%d",
+                    i, x.dep_interval.lo, x.dep_interval.hi, x.support,
+                    y.dep_interval.lo, y.dep_interval.hi, y.support);
+      return buf;
+    }
+  }
+  return "";
 }
 
 }  // namespace testing_util
